@@ -7,14 +7,16 @@ store environments stabilize; this over-approximates every execution and
 seeds the second phase.
 
 The second phase enumerates interference combinations: one simultaneous
-choice, for every load in the program, of a remote store to read from (or
-no remote interference).  Because a combination fixes a single source per
-load, its reads-from facts are consistent by construction, and combinations
-refuted by the feasibility engine are pruned.  Each surviving combination
-is re-analyzed with combination-conditional environments — every load takes
-exactly its chosen store's environment, iterated across threads starting
-from the bootstrap result — and assertions are judged on the environments
-of the surviving combinations only.
+choice, for every load outside a loop, of a remote store to read from (or
+no remote interference).  Loads on a loop (`FlowGraph.loop_nodes`) are not
+enumerated; they join every candidate store not refuted outright.  Because
+a combination fixes a single source per load, its reads-from facts are
+consistent by construction, and combinations refuted by the feasibility
+engine are pruned.  Each surviving combination is re-analyzed with
+combination-conditional environments — every load takes exactly its chosen
+store's environment, iterated across threads starting from the bootstrap
+result — and assertions are judged on the environments of the surviving
+combinations only.
 """
 from __future__ import annotations
 
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 
 from .domain import AbstractEnv, Interval, may_be_false, transfer
 from .feasibility import (
-    NO_INTERFERENCE, FeasibilityContext, InterferenceCombination,
-    MemoryModel, RemoteStore,
+    NO_INTERFERENCE, FeasibilityContext, MemoryModel, RemoteStore,
 )
 from .ir import Assert, FlowGraph, Load, Program, Store, VarId
 from .relations import RelationStore, extract_all
@@ -69,24 +70,6 @@ def initial_env(program: Program) -> AbstractEnv:
                         for v, init in program.globals.items()})
 
 
-def _cycle_nodes(graph: FlowGraph) -> set[int]:
-    """Nodes lying on some cycle (self-reachable through >=1 edge)."""
-    on_cycle = set()
-    for n in graph.nodes:
-        stack = list(graph.successors(n))
-        seen = set(stack)
-        while stack:
-            m = stack.pop()
-            if m == n:
-                on_cycle.add(n)
-                break
-            for s in graph.successors(m):
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-    return on_cycle
-
-
 # ---------------------------------------------------------------------------
 # Per-thread sequential fixpoint under one interference combination
 # ---------------------------------------------------------------------------
@@ -101,7 +84,7 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     join the given interval into the loaded variable, and all other loads
     read their sequential value.  Widening at cycle nodes after 2 visits."""
     fallback = fallback or {}
-    cycles = _cycle_nodes(graph)
+    cycles = graph.loop_nodes
     post: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                     for n in graph.nodes}
     visits: dict[int, int] = {n: 0 for n in graph.nodes}
@@ -138,12 +121,6 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     return post
 
 
-def analyze_tm(graph: FlowGraph, ic: InterferenceCombination,
-               init_env: AbstractEnv) -> dict[int, AbstractEnv]:
-    """Sequential fixpoint of one thread under one combination."""
-    return analyze_thread(graph, init_env, dict(ic))
-
-
 # ---------------------------------------------------------------------------
 # Interference collection and combination enumeration
 # ---------------------------------------------------------------------------
@@ -166,10 +143,9 @@ def collect_candidates(program: Program, relstore: RelationStore,
     out: dict[int, list[int]] = {}
     for name in program.threads:
         graph = program.threads[name]
-        cycles = _cycle_nodes(graph)
         for n in sorted(graph.nodes):
             instr = graph.nodes[n]
-            if isinstance(instr, Load) and n not in cycles:
+            if isinstance(instr, Load) and n not in graph.loop_nodes:
                 out[n] = remote_stores_for(n, instr.src, graph.thread,
                                            relstore, store_envs)
     return out
@@ -227,13 +203,12 @@ def _all_load_fallbacks(program: Program, relstore: RelationStore,
     out: dict[str, dict[int, Interval]] = {}
     for name in program.threads:
         graph = program.threads[name]
-        cycles = _cycle_nodes(graph)
         fb: dict[int, Interval] = {}
         for n in sorted(graph.nodes):
             instr = graph.nodes[n]
             if not isinstance(instr, Load):
                 continue
-            if loads == "loops" and n not in cycles:
+            if loads == "loops" and n not in graph.loop_nodes:
                 continue
             cands = remote_stores_for(n, instr.src, graph.thread,
                                       relstore, store_envs)
@@ -333,6 +308,9 @@ def analyze_all(program: Program, model: MemoryModel,
     stats = AnalysisStats(
         threads=len(program.threads),
         nodes=sum(len(g.nodes) for g in program.threads.values()))
+    assert_nodes = {n for g in program.threads.values()
+                    for n, instr in g.nodes.items()
+                    if isinstance(instr, Assert)}
 
     boot_map, store_envs, rounds = bootstrap_fixpoint(program, relstore, ctx)
     stats.outer_rounds = rounds
@@ -348,8 +326,7 @@ def analyze_all(program: Program, model: MemoryModel,
             stats.per_thread[name] = ThreadStats(
                 overflowed=bool(thread_loads[name]))
         verdicts = _verdicts(program, model, {
-            n: [((), boot_map[n])] for n in boot_map
-            if isinstance(_node_instr(program, n), Assert)})
+            n: [((), boot_map[n])] for n in boot_map if n in assert_nodes})
         return boot_map, verdicts, stats
 
     loop_fallbacks = _all_load_fallbacks(program, relstore, store_envs, ctx,
@@ -374,7 +351,7 @@ def analyze_all(program: Program, model: MemoryModel,
         witness = tuple(sorted(sigma.items()))
         for n, env in posts.items():
             env_map[n] = env_map[n].join(env)
-            if isinstance(_node_instr(program, n), Assert):
+            if n in assert_nodes:
                 assert_runs.setdefault(n, []).append((witness, env))
 
     for name in program.threads:
@@ -385,13 +362,6 @@ def analyze_all(program: Program, model: MemoryModel,
 
     verdicts = _verdicts(program, model, assert_runs)
     return env_map, verdicts, stats
-
-
-def _node_instr(program: Program, node: int):
-    for g in program.threads.values():
-        if node in g.nodes:
-            return g.nodes[node]
-    return None
 
 
 def _verdicts(program: Program, model: MemoryModel,

@@ -1,8 +1,8 @@
 """Command-line driver.
 
 Exit status: 0 = all asserts proved; 1 = at least one alarm; 2 = usage or
-parse error; 3 = internal invariant failure (including a soundness
-disagreement with the oracle in --oracle mode).
+parse error, including input nested too deeply; 3 = internal error, such
+as a failed invariant or (--oracle) a soundness disagreement with the oracle.
 """
 from __future__ import annotations
 
@@ -75,8 +75,8 @@ def run(argv: list[str]) -> int:
     try:
         env_map, verdicts, stats = analysis.analyze_all(
             program, model, cap=args.max_combinations)
-    except analysis.AnalysisError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # AnalysisError or a bug: never exit 1 (ALARM)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
     wall = time.monotonic() - started
 

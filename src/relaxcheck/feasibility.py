@@ -30,11 +30,6 @@ class MemoryModel(enum.Enum):
         return self.value.upper()
 
 
-#: Weakest to strongest; each model's behaviors include the previous one's.
-MODEL_ORDER = (MemoryModel.RMO, MemoryModel.PSO, MemoryModel.TSO,
-               MemoryModel.SC)
-
-
 class ContractViolation(Exception):
     """Malformed interference combination (distinct from Infeasible)."""
 

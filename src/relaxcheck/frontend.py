@@ -35,6 +35,10 @@ class ParseError(Exception):
         self.col = col
 
 
+class NestingError(ParseError):
+    """Input nested deeper than MAX_NESTING."""
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -176,6 +180,25 @@ def tokenize(text: str) -> list[Token]:
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
+#: Deeper blocks, parentheses and expression trees are a ParseError: the
+#: parser, the lowering and the analyzer all recurse on them.
+MAX_NESTING = 100
+
+
+def _nesting(method):
+    """Count the parser's recursion through `method` against MAX_NESTING."""
+    def nested(self, *args):
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            raise NestingError(f"input nested deeper than {MAX_NESTING} "
+                               f"levels", tok.line, tok.col)
+        self.depth += 1
+        try:
+            return method(self, *args)
+        finally:
+            self.depth -= 1
+    return nested
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -184,6 +207,7 @@ class _Parser:
         self.globals: dict[str, int] = {}
         self.threads: list[str] = []
         self.locals: set[str] = set()  # current thread's locals
+        self.depth = 0
 
     # -- token helpers ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -216,6 +240,19 @@ class _Parser:
         if tok.text.startswith("__"):
             self.error("identifiers starting with '__' are reserved", tok)
         return tok
+
+    def bounded(self, tree, tok: Token):
+        """`tree`, unless it is higher than MAX_NESTING.  Operator chains
+        build deep trees without parser recursion, so this walks by level."""
+        level, height = [tree], 0
+        while level:
+            height += 1
+            level = [getattr(n, f) for n in level
+                     for f in ("left", "right", "cond") if hasattr(n, f)]
+        if height > MAX_NESTING:
+            raise NestingError(f"expression nested deeper than "
+                               f"{MAX_NESTING} levels", tok.line, tok.col)
+        return tree
 
     # -- grammar ----------------------------------------------------------
     def program(self) -> SourceProgram:
@@ -271,6 +308,7 @@ class _Parser:
         stmts = self.block()
         return ThreadBlock(name.text, stmts, kw.line, kw.col)
 
+    @_nesting
     def block(self) -> list[Stmt]:
         self.expect("op", "{")
         stmts = []
@@ -302,7 +340,7 @@ class _Parser:
         if name.text not in self.globals and name.text not in self.locals:
             self.error(f"undeclared identifier {name.text!r}", name)
         self.expect("op", "=")
-        expr = self.expr()
+        expr = self.bounded(self.expr(), name)
         self.expect("op", ";")
         return AssignStmt(name.line, name.col, name.text, expr)
 
@@ -313,7 +351,7 @@ class _Parser:
             self.error(f"duplicate declaration of {name.text!r}", name)
         expr = None
         if self.accept("op", "="):
-            expr = self.expr()
+            expr = self.bounded(self.expr(), name)
         self.expect("op", ";")
         self.locals.add(name.text)
         return LocalDeclStmt(kw.line, kw.col, name.text, expr)
@@ -336,7 +374,7 @@ class _Parser:
     def assert_stmt(self) -> AssertStmt:
         kw = self.expect("kw", "assert")
         self.expect("op", "(")
-        cond = self.cond()
+        cond = self.bounded(self.cond(), kw)
         self.expect("op", ")")
         self.expect("op", ";")
         return AssertStmt(kw.line, kw.col, cond)
@@ -344,7 +382,7 @@ class _Parser:
     def if_stmt(self) -> IfStmt:
         kw = self.expect("kw", "if")
         self.expect("op", "(")
-        cond = self.cond()
+        cond = self.bounded(self.cond(), kw)
         self.expect("op", ")")
         then = self.block()
         els: list[Stmt] = []
@@ -355,7 +393,7 @@ class _Parser:
     def while_stmt(self) -> WhileStmt:
         kw = self.expect("kw", "while")
         self.expect("op", "(")
-        cond = self.cond()
+        cond = self.bounded(self.cond(), kw)
         self.expect("op", ")")
         body = self.block()
         return WhileStmt(kw.line, kw.col, cond, body)
@@ -401,6 +439,7 @@ class _Parser:
             left = BinOp("*", left, self.factor())
         return left
 
+    @_nesting
     def factor(self) -> Expr:
         if self.accept("op", "("):
             e = self.expr()
@@ -432,6 +471,7 @@ class _Parser:
             left = And(left, self.cond_unary())
         return left
 
+    @_nesting
     def cond_unary(self) -> Cond:
         if self.accept("op", "!"):
             return Not(self.cond_unary())
@@ -444,6 +484,8 @@ class _Parser:
                 self.next()
                 return Cmp(tok.text, left, self.expr())
             raise ParseError("expected comparison operator", tok.line, tok.col)
+        except NestingError:
+            raise
         except ParseError:
             self.pos = mark
         self.expect("op", "(")

@@ -4,10 +4,13 @@ A program is a set of flow graphs, one per thread, plus a virtual root
 thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
+A flow graph builds its adjacency lists and loop nodes once, and
+`FlowGraph.reach` is the one reachability routine of the package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 ROOT_THREAD = "__root__"
 EPILOGUE_THREAD = "__epilogue__"
@@ -210,35 +213,51 @@ Instruction = (
 )
 
 
-def instr_reads_global(instr: Instruction) -> VarId | None:
-    if isinstance(instr, Load):
-        return instr.src
-    return None
-
-
-def instr_writes_global(instr: Instruction) -> VarId | None:
-    if isinstance(instr, Store):
-        return instr.dst
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Flow graphs and programs
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FlowGraph:
+    """One thread's flow graph.  Adjacency and loop nodes are built on first
+    use and never rebuilt, so nodes and edges are fixed from then on."""
     thread: str
     nodes: dict[int, Instruction]
     entry: int
     exit: int
     edges: set[tuple[int, int]]
 
-    def successors(self, n: int) -> list[int]:
-        return sorted(b for (a, b) in self.edges if a == n)
+    @cached_property
+    def _adjacency(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """(successors, predecessors) of each node, in ascending order."""
+        succ: dict[int, tuple[int, ...]] = {}
+        pred: dict[int, tuple[int, ...]] = {}
+        for a, b in sorted(self.edges):
+            succ[a] = succ.get(a, ()) + (b,)
+            pred[b] = pred.get(b, ()) + (a,)
+        return succ, pred
 
-    def predecessors(self, n: int) -> list[int]:
-        return sorted(a for (a, b) in self.edges if b == n)
+    def successors(self, n: int) -> tuple[int, ...]:
+        return self._adjacency[0].get(n, ())
+
+    def predecessors(self, n: int) -> tuple[int, ...]:
+        return self._adjacency[1].get(n, ())
+
+    def reach(self, n: int) -> set[int]:
+        """Nodes reachable from n through one or more edges."""
+        seen: set[int] = set()
+        stack = [n]
+        while stack:
+            for s in self.successors(stack.pop()):
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return seen
+
+    @cached_property
+    def loop_nodes(self) -> frozenset[int]:
+        """Nodes lying on some cycle (self-reachable through >=1 edge)."""
+        return frozenset(n for n in self.nodes if n in self.reach(n))
 
 
 @dataclass
@@ -249,12 +268,6 @@ class Program:
     # node id of the virtual initializing store for each global
     init_stores: dict[VarId, int] = field(default_factory=dict)
 
-    def graph_of_node(self, n: int) -> FlowGraph:
-        for g in self.threads.values():
-            if n in g.nodes:
-                return g
-        raise KeyError(n)
-
     def all_nodes(self) -> dict[int, tuple[str, Instruction]]:
         out: dict[int, tuple[str, Instruction]] = {}
         for name in sorted(self.threads):
@@ -262,18 +275,6 @@ class Program:
             for n, instr in g.nodes.items():
                 out[n] = (name, instr)
         return out
-
-
-def _reachable(graph: FlowGraph, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for m in graph.successors(n):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen
 
 
 def validate(program: Program) -> list[str]:
@@ -300,9 +301,9 @@ def validate(program: Program) -> list[str]:
             diags.append(f"{name}: entry node {g.entry} has incoming edges")
         if g.successors(g.exit):
             diags.append(f"{name}: exit node {g.exit} has outgoing edges")
-        reach = _reachable(g, g.entry)
+        reach = g.reach(g.entry)
         for n in sorted(g.nodes):
-            if n not in reach:
+            if n != g.entry and n not in reach:
                 diags.append(f"{name}: node {n} unreachable from entry")
 
         for n in sorted(g.nodes):

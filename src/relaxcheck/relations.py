@@ -108,17 +108,7 @@ def compute_dominates(graph: FlowGraph) -> set[tuple[int, int]]:
 def compute_not_reachable_from(graph: FlowGraph) -> set[tuple[int, int]]:
     """(s1,s2) iff there is no directed path from s2 to s1."""
     nodes = sorted(graph.nodes)
-    reach: dict[int, set[int]] = {}
-    for n in nodes:
-        seen = {n}
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            for s in graph.successors(m):
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        reach[n] = seen
+    reach = {n: graph.reach(n) | {n} for n in nodes}
     return {(s1, s2) for s2 in nodes for s1 in nodes if s1 not in reach[s2]}
 
 

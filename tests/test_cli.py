@@ -2,10 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import relaxcheck
+from relaxcheck import analysis
 from relaxcheck.cli import run
 
 from conftest import CORPUS
@@ -45,6 +51,33 @@ def test_parse_error_exit_two(tmp_path, capsys):
     bad.write_text("thread t { x = ; }")
     code, _, err = _run(capsys, str(bad))
     assert code == 2 and "bad.lit" in err
+
+
+@pytest.mark.parametrize("body", [
+    "local a = " + "(" * 3000 + "1" + ")" * 3000 + ";",
+    "local a = 0; a = x" + " + 1" * 3000 + ";",
+], ids=["parens-3000", "sum-3000-terms"])
+def test_deeply_nested_input_exit_two_without_traceback(tmp_path, body):
+    deep = tmp_path / "deep.lit"
+    deep.write_text(f"global x = 0;\nthread t {{ {body} }}\n")
+    src = pathlib.Path(relaxcheck.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relaxcheck.cli", str(deep)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nested deeper than" in proc.stderr
+
+
+def test_unexpected_analysis_exception_exit_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError(7)
+
+    monkeypatch.setattr(analysis, "analyze_all", broken)
+    code, out, err = _run(capsys, _corpus("seq1.lit"))
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: KeyError")
 
 
 def test_bad_cap_exit_two(capsys):

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import pytest
 
+from relaxcheck.analysis import analyze_all
+from relaxcheck.feasibility import MemoryModel
 from relaxcheck.frontend import (
-    ParseError, lower, parse, parse_and_lower, print_program,
+    MAX_NESTING, NestingError, ParseError, lower, parse, parse_and_lower,
+    print_program,
 )
 from relaxcheck.ir import (
     Assert, Assume, EPILOGUE_THREAD, Fence, Load, Membar, Store, validate,
@@ -74,6 +77,33 @@ def test_parse_rejects_reserved_identifiers():
 def test_parse_rejects_join_of_unknown_thread():
     with pytest.raises(ParseError, match="unknown thread"):
         parse("global x;\nthread t { join(u); }")
+
+
+_DEEP = MAX_NESTING + 1
+
+
+@pytest.mark.parametrize("text", [
+    "thread t { " + "if (x == 0) { " * _DEEP + "x = 1;" + " }" * _DEEP + " }",
+    "thread t { assert(" + "!" * _DEEP + "(x == 0)); }",
+    "thread t { x = " + "-" * _DEEP + "1; }",
+    "thread t { assert(" + "(" * _DEEP + "x == 0" + ")" * _DEEP + "); }",
+    "thread t { x = 1; }\nassert(x" + " * 2" * _DEEP + " > 0);",
+    "thread t { assert(" + " && ".join(["x == 0"] * _DEEP) + "); }",
+], ids=["blocks", "nots", "negations", "cond-parens", "product", "ands"])
+def test_parse_rejects_nesting_past_the_limit(text):
+    with pytest.raises(NestingError, match="deeper than"):
+        parse("global x = 0;\n" + text)
+
+
+def test_nesting_just_under_the_limit_is_analyzed():
+    d = MAX_NESTING - 10
+    program, _ = parse_and_lower(
+        "global x = 0;\nthread t { local a = " + "(" * d + "x" + ")" * d
+        + "; a = a" + " + 1" * d + "; "
+        + "if (x == 0) { " * d + "x = a;" + " }" * d + " }\n"
+        "assert(x >= 0);\n")
+    _, verdicts, _ = analyze_all(program, MemoryModel.SC)
+    assert [v.status for v in verdicts] == ["PROVED"]
 
 
 def test_roundtrip_parse_print_parse_on_corpus():

@@ -2,8 +2,9 @@
 
 Covers: interval lattice laws, transfer monotonicity and soundness on
 singletons, per-model relation inclusion chains, Datalog fact monotonicity,
-dominator equivalence against a brute-force oracle, oracle behavior
-inclusion, verdict monotonicity across models, and run determinism.
+dominator equivalence against a brute-force oracle, flow-graph adjacency,
+loop nodes and NotReachableFrom against edge-scan references, oracle
+behavior inclusion, verdict monotonicity across models, and run determinism.
 """
 from __future__ import annotations
 
@@ -25,7 +26,9 @@ from relaxcheck.ir import (
     Assume, BinOp, Cmp, Const, FlowGraph, Load, LocalAssign, Nop, Store,
     Var, VarId,
 )
-from relaxcheck.relations import compute_dominates, extract_all
+from relaxcheck.relations import (
+    compute_dominates, compute_not_reachable_from, extract_all,
+)
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, corpus_program, oracle_behaviors,
@@ -298,6 +301,72 @@ def _brute_dominates(graph: FlowGraph):
 @given(small_graphs())
 def test_dominates_equals_brute_force(graph):
     assert compute_dominates(graph) == _brute_dominates(graph)
+
+
+# ---------------------------------------------------------------------------
+# Cached graph structure vs. edge scans
+# ---------------------------------------------------------------------------
+
+def _scan_successors(graph: FlowGraph, n: int) -> list[int]:
+    return sorted(b for (a, b) in graph.edges if a == n)
+
+
+def _scan_predecessors(graph: FlowGraph, n: int) -> list[int]:
+    return sorted(a for (a, b) in graph.edges if b == n)
+
+
+def _scan_cycle_nodes(graph: FlowGraph) -> set[int]:
+    """Nodes lying on some cycle: one DFS per node over edge scans."""
+    on_cycle = set()
+    for n in graph.nodes:
+        stack = list(_scan_successors(graph, n))
+        seen = set(stack)
+        while stack:
+            m = stack.pop()
+            if m == n:
+                on_cycle.add(n)
+                break
+            for s in _scan_successors(graph, m):
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+    return on_cycle
+
+
+def _scan_not_reachable_from(graph: FlowGraph) -> set[tuple[int, int]]:
+    """(s1, s2) iff no path of zero or more edges leads from s2 to s1."""
+    out = set()
+    for s2 in graph.nodes:
+        seen = {s2}
+        stack = [s2]
+        while stack:
+            for s in _scan_successors(graph, stack.pop()):
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        out |= {(s1, s2) for s1 in graph.nodes if s1 not in seen}
+    return out
+
+
+def _assert_structure_matches_scans(graph: FlowGraph) -> None:
+    for n in graph.nodes:
+        assert list(graph.successors(n)) == _scan_successors(graph, n)
+        assert list(graph.predecessors(n)) == _scan_predecessors(graph, n)
+    assert graph.loop_nodes == _scan_cycle_nodes(graph)
+    assert compute_not_reachable_from(graph) \
+        == _scan_not_reachable_from(graph)
+
+
+@MANY
+@given(small_graphs())
+def test_graph_structure_equals_edge_scans(graph):
+    _assert_structure_matches_scans(graph)
+
+
+def test_corpus_graph_structure_equals_edge_scans():
+    for name in CORPUS_FILES:
+        for graph in corpus_program(name).threads.values():
+            _assert_structure_matches_scans(graph)
 
 
 # ---------------------------------------------------------------------------
