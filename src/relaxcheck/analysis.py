@@ -262,15 +262,6 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
 # Phase 2: combination enumeration with conditional environments
 # ---------------------------------------------------------------------------
 
-def _combination_facts(ctx: FeasibilityContext,
-                       sigma: dict[int, int | None]
-                       ) -> frozenset[tuple[int, int]]:
-    ic = {l: (NO_INTERFERENCE if s is None
-              else RemoteStore(s, AbstractEnv.bottom()))
-          for l, s in sigma.items()}
-    return ctx.facts_for(ic)
-
-
 def _run_combination(program: Program, sigma: dict[int, int | None],
                      store_envs: dict[int, AbstractEnv],
                      loop_fallbacks: dict[str, dict[int, Interval]],
@@ -341,7 +332,7 @@ def analyze_all(program: Program, model: MemoryModel,
         for name in program.threads:
             seen_proj[name].add(
                 tuple(sigma[l] for l in thread_loads[name]))
-        if not ctx.check_facts(_combination_facts(ctx, sigma)):
+        if not ctx.check_facts(ctx.facts_for(sigma)):
             continue
         for name in program.threads:
             feasible_proj[name].add(

@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Exit status: 0 = all asserts proved; 1 = at least one alarm; 2 = usage or
-parse error, including input nested too deeply; 3 = internal error, such
-as a failed invariant or (--oracle) a soundness disagreement with the oracle.
+parse error, including input nested too deeply; 3 = internal error: a
+failed invariant or a bug in the analysis, --emit-relations or --oracle
+(reported in one line, never as a traceback), or (--oracle) a soundness
+disagreement with the oracle.
 """
 from __future__ import annotations
 
@@ -68,7 +70,11 @@ def run(argv: list[str]) -> int:
     model = _MODELS[args.model or ast.model or "sc"]
 
     if args.emit_relations:
-        print(_relation_dump(program, model))
+        try:
+            dump = _relation_dump(program, model)
+        except Exception as e:  # a bug: never a traceback
+            return _internal_error(e)
+        print(dump)
         return 0
 
     started = time.monotonic()
@@ -76,8 +82,7 @@ def run(argv: list[str]) -> int:
         env_map, verdicts, stats = analysis.analyze_all(
             program, model, cap=args.max_combinations)
     except Exception as e:  # AnalysisError or a bug: never exit 1 (ALARM)
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        return _internal_error(e)
     wall = time.monotonic() - started
 
     oracle_flags: dict[int, bool] | None = None
@@ -89,6 +94,8 @@ def run(argv: list[str]) -> int:
                 max_loop_iters=args.oracle_max_loop_iters)
         except oracle.OracleLimitError as e:
             oracle_error = str(e)
+        except Exception as e:  # a bug: never exit 1 (ALARM)
+            return _internal_error(e)
 
     annotations: dict[int, str] = {}
     soundness_bug = False
@@ -114,6 +121,11 @@ def run(argv: list[str]) -> int:
     if soundness_bug:
         return 3
     return 1 if any(v.status == "ALARM" for v in verdicts) else 0
+
+
+def _internal_error(e: Exception) -> int:
+    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 3
 
 
 def _print_text(path, model, verdicts, stats, wall, annotations,

@@ -1,4 +1,11 @@
-"""A tiny semi-naive Datalog fixpoint engine over finite tuple sets.
+"""The paper's feasibility rules as Datalog: the executable specification.
+
+A tiny semi-naive Datalog fixpoint engine over finite tuple sets, plus the
+must-happen-before (MHB) and MustNotReadFrom rules (1)-(6) written in it and
+the `spec_*` functions that evaluate them.  The analyzer does not run this
+module: `feasibility.py` evaluates the same rules with a bitset closure, and
+the tests check that closure against `spec_mhb` and
+`spec_must_not_read_from`.
 
 Rules are positive conjunctive queries: a head atom derived from a join of
 body atoms.  Atom arguments are either variable names (strings) or constant
@@ -8,6 +15,10 @@ plain Python sets, so evaluation is deterministic and dependency-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .relations import RelationStore
 
 
 @dataclass(frozen=True)
@@ -139,3 +150,83 @@ def solve(db: Database, rules: list[Rule]) -> Database:
                         new_delta.setdefault(r.head.relation, set()).add(fact)
         delta = new_delta
     return db
+
+
+# ---------------------------------------------------------------------------
+# The feasibility rules (the specification of feasibility.py)
+# ---------------------------------------------------------------------------
+
+_MHB_RULES = [
+    # (1) thread creation precedes the child; the child precedes its join
+    rule(atom("MHB", "c", "e"), atom("ThreadCreates", "c", "e")),
+    rule(atom("MHB", "x", "j"), atom("ThreadJoins", "j", "x")),
+    # (2) dominating, loop-free, non-reorderable pairs
+    rule(atom("MHB", "a", "b"),
+         atom("Dominates", "a", "b"),
+         atom("NotReachableFrom", "a", "b"),
+         atom("NoReorder", "a", "b")),
+    # (3) transitivity
+    rule(atom("MHB", "a", "c"), atom("MHB", "a", "b"), atom("MHB", "b", "c")),
+    # (4) a load precedes every same-variable store ordered after its source
+    rule(atom("MHB", "l", "s2"),
+         atom("ReadsFrom", "l", "s1"),
+         atom("MHB", "s1", "s2"),
+         atom("IsLoad", "l", "v"),
+         atom("IsStore", "s1", "v"),
+         atom("IsStore", "s2", "v")),
+]
+
+_MNRF_RULES = [
+    # (5) a load cannot read a store it must precede
+    rule(atom("MustNotReadFrom", "l", "s"),
+         atom("MHB", "l", "s"),
+         atom("IsLoad", "l", "v"),
+         atom("IsStore", "s", "v")),
+    # (6) a load after an intervening same-variable store cannot read a
+    #     store the first load already read
+    rule(atom("MustNotReadFrom", "l2", "s1"),
+         atom("ReadsFrom", "l1", "s1"),
+         atom("MHB", "l1", "s2"),
+         atom("MHB", "s2", "l2"),
+         atom("IsLoad", "l1", "v"),
+         atom("IsLoad", "l2", "v"),
+         atom("IsStore", "s1", "v"),
+         atom("IsStore", "s2", "v")),
+]
+
+
+def _spec_db(store: RelationStore, no_reorder: set[tuple[int, int]],
+             reads_from: set[tuple[int, int]],
+             mhb_seeds: set[tuple[int, int]]) -> Database:
+    return Database({
+        "IsLoad": store.is_load,
+        "IsStore": store.is_store,
+        "Dominates": store.dominates,
+        "NotReachableFrom": store.not_reachable_from,
+        "ThreadCreates": store.thread_creates,
+        "ThreadJoins": store.thread_joins,
+        "NoReorder": no_reorder,
+        "ReadsFrom": reads_from,
+        "MHB": mhb_seeds,
+    })
+
+
+def spec_mhb(store: RelationStore, no_reorder: set[tuple[int, int]],
+             reads_from: set[tuple[int, int]],
+             mhb_seeds: set[tuple[int, int]] = frozenset(),
+             ) -> set[tuple[int, int]]:
+    """MHB: the least fixpoint of rules (1)-(4) over the given facts."""
+    db = _spec_db(store, no_reorder, reads_from, mhb_seeds)
+    solve(db, _MHB_RULES)
+    return set(db.relation("MHB"))
+
+
+def spec_must_not_read_from(store: RelationStore,
+                            no_reorder: set[tuple[int, int]],
+                            reads_from: set[tuple[int, int]],
+                            mhb_seeds: set[tuple[int, int]] = frozenset(),
+                            ) -> set[tuple[int, int]]:
+    """MustNotReadFrom: the least fixpoint of rules (1)-(6)."""
+    db = _spec_db(store, no_reorder, reads_from, mhb_seeds)
+    solve(db, _MHB_RULES + _MNRF_RULES)
+    return set(db.relation("MustNotReadFrom"))

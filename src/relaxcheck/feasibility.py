@@ -1,22 +1,29 @@
-"""Deductive feasibility engine for inter-thread data-flow combinations.
+"""Feasibility of inter-thread data-flow combinations under a memory model.
 
 Given a memory model, the engine derives which same-thread instruction pairs
-can never be reordered (NoReorder), deduces a must-happen-before relation
-(MHB) and a refuted-data-flow relation (MustNotReadFrom) as Datalog
-fixpoints, and uses them to reject interference combinations that cannot
-occur in any concrete execution.
+can never be reordered (NoReorder), then decides the paper's rules (1)-(6):
+a must-happen-before relation (MHB) and a refuted-data-flow relation
+(MustNotReadFrom), used to reject interference combinations that cannot
+occur in any concrete execution.  `datalog.py` states the rules as Datalog;
+this module evaluates them with a closure over bitsets instead.
+
+MHB is kept transitively closed as one row per node, in sorted node-id
+order: row a is an int whose bit b means MHB(a, b).  Adding the edges
+a -> T keeps the rows closed in one pass, with no Warshall step: a, and
+every row that has bit a, gains T and the rows of T.  The rows under no
+reads-from facts (rules (1)-(3)) are built once per context; a query copies
+them, adds each fact's store -> load edge, applies rule (4) until nothing
+changes, and checks rules (5) and (6) for its own facts only.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
-from . import datalog
-from .datalog import atom, rule
 from .domain import AbstractEnv
-from .ir import (
-    Fence, Load, Nop, Program, Store, ThreadCreate, ThreadJoin, VarId,
-)
+from .ir import Fence, Load, Program, Store, ThreadCreate, ThreadJoin, VarId
 from .relations import RelationStore, extract_all
 
 
@@ -155,82 +162,46 @@ def _membar_pairs(store: RelationStore) -> set[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# MHB / MustNotReadFrom deduction
+# MHB as a closure over bitset rows
 # ---------------------------------------------------------------------------
 
-_MHB_RULES = [
-    # (1) thread creation precedes the child; the child precedes its join
-    rule(atom("MHB", "c", "e"), atom("ThreadCreates", "c", "e")),
-    rule(atom("MHB", "x", "j"), atom("ThreadJoins", "j", "x")),
-    # (2) dominating, loop-free, non-reorderable pairs
-    rule(atom("MHB", "a", "b"),
-         atom("Dominates", "a", "b"),
-         atom("NotReachableFrom", "a", "b"),
-         atom("NoReorder", "a", "b")),
-    # (3) transitivity
-    rule(atom("MHB", "a", "c"), atom("MHB", "a", "b"), atom("MHB", "b", "c")),
-    # (4) a load precedes every same-variable store ordered after its source
-    rule(atom("MHB", "l", "s2"),
-         atom("ReadsFrom", "l", "s1"),
-         atom("MHB", "s1", "s2"),
-         atom("IsLoad", "l", "v"),
-         atom("IsStore", "s1", "v"),
-         atom("IsStore", "s2", "v")),
-]
-
-_MNRF_RULES = [
-    # (5) a load cannot read a store it must precede
-    rule(atom("MustNotReadFrom", "l", "s"),
-         atom("MHB", "l", "s"),
-         atom("IsLoad", "l", "v"),
-         atom("IsStore", "s", "v")),
-    # (6) a load after an intervening same-variable store cannot read a
-    #     store the first load already read
-    rule(atom("MustNotReadFrom", "l2", "s1"),
-         atom("ReadsFrom", "l1", "s1"),
-         atom("MHB", "l1", "s2"),
-         atom("MHB", "s2", "l2"),
-         atom("IsLoad", "l1", "v"),
-         atom("IsLoad", "l2", "v"),
-         atom("IsStore", "s1", "v"),
-         atom("IsStore", "s2", "v")),
-]
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _base_db(store: RelationStore,
-             no_reorder: set[tuple[int, int]]) -> dict[str, set[tuple]]:
-    return {
-        "IsLoad": set(store.is_load),
-        "IsStore": set(store.is_store),
-        "Dominates": set(store.dominates),
-        "NotReachableFrom": set(store.not_reachable_from),
-        "ThreadCreates": set(store.thread_creates),
-        "ThreadJoins": set(store.thread_joins),
-        "NoReorder": set(no_reorder),
-    }
+def _insert(rows: list[int], a: int, targets: int) -> None:
+    """Add MHB(a, t) for every bit t of targets to the closed rows, keeping
+    them closed: a, and every node before a, gain the targets and every
+    node after them."""
+    add = targets
+    for t in _bits(targets):
+        add |= rows[t]
+    if not add & ~rows[a]:
+        return  # row a, and every row before a (a superset), has add
+    before_a = 1 << a
+    for i, row in enumerate(rows):
+        if row & before_a or i == a:
+            rows[i] = row | add
 
 
-def deduce_mhb(store: RelationStore, no_reorder: set[tuple[int, int]],
-               reads_from: set[tuple[int, int]],
-               mhb_seeds: set[tuple[int, int]] = frozenset(),
-               ) -> set[tuple[int, int]]:
-    db = datalog.Database(_base_db(store, no_reorder))
-    db.relation("ReadsFrom").update(reads_from)
-    db.relation("MHB").update(mhb_seeds)
-    datalog.solve(db, _MHB_RULES)
-    return set(db.relation("MHB"))
-
-
-def deduce_must_not_read_from(store: RelationStore,
-                              no_reorder: set[tuple[int, int]],
-                              reads_from: set[tuple[int, int]],
-                              mhb_seeds: set[tuple[int, int]] = frozenset(),
-                              ) -> set[tuple[int, int]]:
-    db = datalog.Database(_base_db(store, no_reorder))
-    db.relation("ReadsFrom").update(reads_from)
-    db.relation("MHB").update(mhb_seeds)
-    datalog.solve(db, _MHB_RULES + _MNRF_RULES)
-    return set(db.relation("MustNotReadFrom"))
+def deduce_mhb(bit: dict[int, int], store: RelationStore,
+               no_reorder: set[tuple[int, int]]) -> tuple[int, ...]:
+    """MHB rows under no reads-from facts, indexed by `bit` (node -> row):
+    the closure of the edges of rules (1) and (2)."""
+    edges = (store.thread_creates
+             | {(x, j) for j, x in store.thread_joins}
+             | (store.dominates & store.not_reachable_from & no_reorder))
+    targets: dict[int, int] = {}
+    for a, b in edges:
+        targets[bit[a]] = targets.get(bit[a], 0) | 1 << bit[b]
+    rows = [0] * len(bit)
+    for a in sorted(targets):
+        _insert(rows, a, targets[a])
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -246,39 +217,48 @@ class FeasibilityContext:
         self.model = model
         self.store = store if store is not None else extract_all(program)
         self.no_reorder = compute_no_reorder(model, self.store, program)
-        # MHB under no reads-from assumptions; a sound seed for every query
-        self.base_mhb = deduce_mhb(self.store, self.no_reorder, set())
+        self._nodes = sorted(self.store.thread_of)
+        self._bit = {n: i for i, n in enumerate(self._nodes)}
+        self._stores_of: dict[VarId, int] = {}
+        for s, v in self.store.is_store:
+            self._stores_of[v] = self._stores_of.get(v, 0) | 1 << self._bit[s]
+        # MHB under no reads-from assumptions; every query starts from it
+        self._base_rows = deduce_mhb(self._bit, self.store, self.no_reorder)
         self._cache: dict[frozenset, FeasibilityResult] = {}
 
+    @cached_property
+    def base_mhb(self) -> set[tuple[int, int]]:
+        return self.mhb_pairs(self._base_rows)
+
+    def mhb_pairs(self, rows: Sequence[int]) -> set[tuple[int, int]]:
+        """The MHB relation the rows encode, as (node, node) pairs."""
+        nodes = self._nodes
+        return {(nodes[a], nodes[b])
+                for a, row in enumerate(rows) for b in _bits(row)}
+
     # -- building reads-from fact sets -------------------------------------
-    def facts_for(self, ic: InterferenceCombination
+    def facts_for(self, sources: dict[int, int | None]
                   ) -> frozenset[tuple[int, int]]:
-        """Reads-from facts contributed by a combination: the chosen remote
-        store per load, and — for loads whose sequential value can only be
-        the initial one — the virtual init store."""
+        """Reads-from facts of a choice of source per load: the chosen
+        remote store, or for None (no interference) — when the load's
+        sequential value can only be the initial one — the virtual init
+        store."""
         facts: set[tuple[int, int]] = set()
-        for load_node in ic:
-            choice = ic[load_node]
+        for load_node, source in sources.items():
             var = self.store.load_var.get(load_node)
             if var is None:
                 raise ContractViolation(f"node {load_node} is not a load")
-            if choice is NO_INTERFERENCE:
+            if source is None:
                 init = self._init_only_source(load_node, var)
                 if init is not None:
                     facts.add((load_node, init))
-            elif isinstance(choice, RemoteStore):
-                svar = self.store.store_var.get(choice.store)
-                if svar != var:
-                    raise ContractViolation(
-                        f"store {choice.store} does not write {var}")
-                if (self.store.thread_of[choice.store]
-                        == self.store.thread_of[load_node]):
-                    raise ContractViolation(
-                        f"store {choice.store} is not remote to load "
-                        f"{load_node}")
-                facts.add((load_node, choice.store))
-            else:
-                raise ContractViolation(f"bad choice {choice!r}")
+                continue
+            if self.store.store_var.get(source) != var:
+                raise ContractViolation(f"store {source} does not write {var}")
+            if self.store.thread_of[source] == self.store.thread_of[load_node]:
+                raise ContractViolation(
+                    f"store {source} is not remote to load {load_node}")
+            facts.add((load_node, source))
         return frozenset(facts)
 
     def _init_only_source(self, load_node: int, var: VarId) -> int | None:
@@ -292,26 +272,75 @@ class FeasibilityContext:
                     return None
         return self.program.init_stores.get(var)
 
+    # -- deciding the rules ------------------------------------------------
+    def mhb_rows(self, facts: frozenset[tuple[int, int]]) -> list[int]:
+        """The base MHB rows closed under the reads-from facts.  Every fact
+        pairs a load with a store in another thread, which cannot be
+        forwarded from a buffer: the store commits first.  Rule (4) then
+        orders the load before every same-variable store after its source."""
+        bit, rows = self._bit, list(self._base_rows)
+        for load, source in facts:
+            _insert(rows, bit[source], 1 << bit[load])
+        flows = [(bit[load], bit[source], self._stores_of[var])
+                 for load, source in facts
+                 if (var := self.store.load_var.get(load)) is not None
+                 and self.store.store_var.get(source) == var]
+        changed = True
+        while changed:
+            changed = False
+            for load, source, same_var in flows:
+                new = rows[source] & same_var & ~rows[load]
+                if new:
+                    _insert(rows, load, new)
+                    changed = True
+        return rows
+
+    def must_not_read_from(self, rows: list[int],
+                           facts: frozenset[tuple[int, int]],
+                           load: int, source: int) -> bool:
+        """Rules (5) and (6) for one pair, on the rows `mhb_rows(facts)`."""
+        var = self.store.load_var.get(load)
+        if var is None or self.store.store_var.get(source) != var:
+            return False
+        bit = self._bit
+        # (5) the load must precede the store
+        if rows[bit[load]] >> bit[source] & 1:
+            return True
+        # (6) another load of var read the store, and a store to var lies
+        #     between that load and this one
+        same_var = self._stores_of[var]
+        for first, read in facts:
+            if read == source and self.store.load_var.get(first) == var:
+                for s2 in _bits(rows[bit[first]] & same_var):
+                    if rows[s2] >> bit[load] & 1:
+                        return True
+        return False
+
     def check_facts(self, facts: frozenset[tuple[int, int]]
                     ) -> FeasibilityResult:
         if facts in self._cache:
             return self._cache[facts]
-        # Every fact pairs a load with a store in another thread, which
-        # cannot be forwarded from a buffer: the store commits first.
-        seeds = set(self.base_mhb)
-        seeds.update((s, l) for (l, s) in facts)
-        mnrf = deduce_must_not_read_from(self.store, self.no_reorder,
-                                         set(facts), seeds)
+        rows = self.mhb_rows(facts)
         result = FeasibilityResult(True)
         for pair in sorted(facts):
-            if pair in mnrf:
+            if self.must_not_read_from(rows, facts, *pair):
                 result = FeasibilityResult(False, witness=pair)
                 break
         self._cache[facts] = result
         return result
 
     def check(self, ic: InterferenceCombination) -> FeasibilityResult:
-        return self.check_facts(self.facts_for(ic))
+        return self.check_facts(self.facts_for(
+            {load: _source(choice) for load, choice in ic.items()}))
+
+
+def _source(choice) -> int | None:
+    """The store a combination's choice reads (None: no interference)."""
+    if choice is NO_INTERFERENCE:
+        return None
+    if isinstance(choice, RemoteStore):
+        return choice.store
+    raise ContractViolation(f"bad choice {choice!r}")
 
 
 def check_feasible(program: Program, model: MemoryModel,

@@ -268,14 +268,6 @@ class Program:
     # node id of the virtual initializing store for each global
     init_stores: dict[VarId, int] = field(default_factory=dict)
 
-    def all_nodes(self) -> dict[int, tuple[str, Instruction]]:
-        out: dict[int, tuple[str, Instruction]] = {}
-        for name in sorted(self.threads):
-            g = self.threads[name]
-            for n, instr in g.nodes.items():
-                out[n] = (name, instr)
-        return out
-
 
 def validate(program: Program) -> list[str]:
     """Structural diagnostics; empty list iff the program is well formed."""
@@ -393,7 +385,3 @@ def _check_creation_acyclic(program: Program) -> list[str]:
         if not visit(t):
             return [f"thread creation cycle involving '{t}'"]
     return []
-
-
-def node_count(program: Program) -> int:
-    return sum(len(g.nodes) for g in program.threads.values())

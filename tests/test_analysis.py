@@ -160,7 +160,8 @@ def test_alarm_witness_names_loads_and_sources():
     assert v.status == "ALARM"
     assert v.witness  # (load node -> store node | None) pairs
     prog = corpus_program("fig1_nofence.lit")
-    all_nodes = prog.all_nodes()
+    all_nodes = {n: instr for g in prog.threads.values()
+                 for n, instr in g.nodes.items()}
     for load, store in v.witness:
-        assert isinstance(all_nodes[load][1], Load)
+        assert isinstance(all_nodes[load], Load)
         assert store is None or store in all_nodes

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import relaxcheck
-from relaxcheck import analysis
+from relaxcheck import analysis, cli, oracle
 from relaxcheck.cli import run
 
 from conftest import CORPUS
@@ -78,6 +78,26 @@ def test_unexpected_analysis_exception_exit_three(capsys, monkeypatch):
     code, out, err = _run(capsys, _corpus("seq1.lit"))
     assert code == 3 and out == ""
     assert err.startswith("internal error: KeyError")
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("broken")
+
+
+def test_emit_relations_exception_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "extract_all", _raise_value_error)
+    code, out, err = _run(capsys, "--emit-relations", _corpus("seq1.lit"))
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: broken\n"
+    assert "Traceback" not in err
+
+
+def test_oracle_exception_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "violates", _raise_value_error)
+    code, out, err = _run(capsys, "--oracle", _corpus("seq1.lit"))
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: broken\n"
+    assert "Traceback" not in err
 
 
 def test_bad_cap_exit_two(capsys):

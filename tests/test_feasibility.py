@@ -112,19 +112,25 @@ def test_model_inclusion_chain_on_no_reorder():
 # ---------------------------------------------------------------------------
 
 def _fig2_combinations():
+    """Per combination, each load's source store (None: sequential)."""
     prog = corpus_program("fig2_fence.lit")
     l_y = _load_of(prog, "t2", "y")
     l_x = _load_of(prog, "t2", "x")
     s_y = _store_of(prog, "t1", "y")
     s_x = _store_of(prog, "t1", "x")
-    remote = lambda s: RemoteStore(s, AbstractEnv())
     rho = {
-        1: {l_y: NO_INTERFERENCE, l_x: NO_INTERFERENCE},
-        2: {l_y: remote(s_y), l_x: remote(s_x)},
-        3: {l_y: NO_INTERFERENCE, l_x: remote(s_x)},
-        4: {l_y: remote(s_y), l_x: NO_INTERFERENCE},
+        1: {l_y: None, l_x: None},
+        2: {l_y: s_y, l_x: s_x},
+        3: {l_y: None, l_x: s_x},
+        4: {l_y: s_y, l_x: None},
     }
     return prog, rho, l_x
+
+
+def _interference(sources):
+    """The same combination as the analyzer's per-load choices."""
+    return {l: NO_INTERFERENCE if s is None else RemoteStore(s, AbstractEnv())
+            for l, s in sources.items()}
 
 
 def test_fig2_rho4_infeasible_under_tso():
@@ -144,14 +150,14 @@ def test_fig2_rho4_infeasible_under_tso():
 def test_fig2_rho123_feasible_under_tso():
     prog, rho, _ = _fig2_combinations()
     for k in (1, 2, 3):
-        assert check_feasible(prog, TSO, rho[k]), k
+        assert check_feasible(prog, TSO, _interference(rho[k])), k
 
 
 def test_fig2_rho4_feasible_under_rmo():
     # without store->store ordering from the program side, the fence still
     # orders t1's stores; but the reader's loads may reorder under RMO
     prog, rho, _ = _fig2_combinations()
-    assert check_feasible(prog, RMO, rho[4])
+    assert check_feasible(prog, RMO, _interference(rho[4]))
 
 
 def test_fig2_nofence_rho4_feasible_under_pso():
@@ -190,7 +196,7 @@ def test_fig7_own_store_load_contributes_no_init_fact():
     prog = corpus_program("fig7.lit")
     ctx = FeasibilityContext(prog, TSO)
     l_x = _load_of(prog, "u1", "x")
-    facts = ctx.facts_for({l_x: NO_INTERFERENCE})
+    facts = ctx.facts_for({l_x: None})
     assert facts == frozenset()  # own store may forward; no single source
 
 
@@ -247,7 +253,7 @@ def test_fact_monotonicity_never_unprunes():
     # adding reads-from facts can only grow MustNotReadFrom
     prog, rho, _ = _fig2_combinations()
     ctx = FeasibilityContext(prog, TSO)
-    small = ctx.facts_for({list(rho[4])[0]: NO_INTERFERENCE})
+    small = ctx.facts_for({list(rho[4])[0]: None})
     big = ctx.facts_for(rho[4])
     if not ctx.check_facts(small):
         assert not ctx.check_facts(big | small)

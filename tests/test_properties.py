@@ -1,10 +1,12 @@
 """Randomized property suites (>= 200 cases each).
 
 Covers: interval lattice laws, transfer monotonicity and soundness on
-singletons, per-model relation inclusion chains, Datalog fact monotonicity,
-dominator equivalence against a brute-force oracle, flow-graph adjacency,
-loop nodes and NotReachableFrom against edge-scan references, oracle
-behavior inclusion, verdict monotonicity across models, and run determinism.
+singletons, per-model relation inclusion chains, fact monotonicity of the
+feasibility engine and of the Datalog engine, the bitset feasibility engine
+against the Datalog rules it implements, dominator equivalence against a
+brute-force oracle, flow-graph adjacency, loop nodes and NotReachableFrom
+against edge-scan references, oracle behavior inclusion, verdict
+monotonicity across models, and run determinism.
 """
 from __future__ import annotations
 
@@ -14,14 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaxcheck.analysis import analyze_all
-from relaxcheck.datalog import Database, atom, rule, solve
+from relaxcheck.datalog import (
+    Database, atom, rule, solve, spec_mhb, spec_must_not_read_from,
+)
 from relaxcheck.domain import (
     NEG_INF, POS_INF, AbstractEnv, Interval, transfer,
 )
-from relaxcheck.feasibility import (
-    FeasibilityContext, MemoryModel, compute_no_reorder,
-    deduce_mhb, deduce_must_not_read_from,
-)
+from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.ir import (
     Assume, BinOp, Cmp, Const, FlowGraph, Load, LocalAssign, Nop, Store,
     Var, VarId,
@@ -205,18 +206,44 @@ def _rf_universe(name: str):
     return prog, store, pairs
 
 
+@functools.lru_cache(maxsize=None)
+def _context(name: str, model: MemoryModel) -> FeasibilityContext:
+    prog, store, _ = _rf_universe(name)
+    return FeasibilityContext(prog, model, store)
+
+
+def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
+    """(MHB, MustNotReadFrom) of the bitset engine under reads-from rf."""
+    rows = ctx.mhb_rows(rf)
+    mnrf = {(l, s) for l, lv in ctx.store.is_load
+            for s, sv in ctx.store.is_store
+            if lv == sv and ctx.must_not_read_from(rows, rf, l, s)}
+    return ctx.mhb_pairs(rows), mnrf
+
+
+def _seeds(rf: frozenset) -> set:
+    """The store -> load MHB edge of each fact, as check_facts adds it: the
+    same query for the Datalog rules."""
+    return {(s, l) for l, s in rf}
+
+
+def _spec_witness(mnrf, rf: frozenset):
+    """The pair check_facts must report: the first refuted fact."""
+    return next((pair for pair in sorted(rf) if pair in mnrf), None)
+
+
 @MANY
 @given(st.sampled_from(CORPUS_FILES), st.data())
 def test_model_inclusion_of_derived_relations(name, data):
-    prog, store, pairs = _rf_universe(name)
+    _, _, pairs = _rf_universe(name)
     rf = frozenset(data.draw(st.sets(st.sampled_from(pairs), max_size=3))
                    if pairs else ())
     prev_nr = prev_mhb = prev_mnrf = None
     for model in (MemoryModel.RMO, MemoryModel.PSO, MemoryModel.TSO,
                   MemoryModel.SC):
-        nr = frozenset(compute_no_reorder(model, store, prog))
-        mhb = frozenset(deduce_mhb(store, nr, set(rf)))
-        mnrf = frozenset(deduce_must_not_read_from(store, nr, set(rf)))
+        ctx = _context(name, model)
+        nr = frozenset(ctx.no_reorder)
+        mhb, mnrf = _engine_relations(ctx, rf)
         if prev_nr is not None:
             assert prev_nr <= nr
             assert prev_mhb <= mhb
@@ -227,15 +254,66 @@ def test_model_inclusion_of_derived_relations(name, data):
 @MANY
 @given(st.sampled_from(CORPUS_FILES), st.sampled_from(MODELS), st.data())
 def test_datalog_fact_monotonicity_on_deduction(name, model, data):
-    prog, store, pairs = _rf_universe(name)
-    nr = compute_no_reorder(model, store, prog)
+    _, _, pairs = _rf_universe(name)
+    ctx = _context(name, model)
     rf_small = data.draw(st.sets(st.sampled_from(pairs), max_size=2)) \
         if pairs else set()
     extra = data.draw(st.sets(st.sampled_from(pairs), max_size=2)) \
         if pairs else set()
-    small = deduce_must_not_read_from(store, nr, set(rf_small))
-    big = deduce_must_not_read_from(store, nr, set(rf_small) | set(extra))
+    _, small = _engine_relations(ctx, frozenset(rf_small))
+    _, big = _engine_relations(ctx, frozenset(rf_small | extra))
     assert small <= big
+
+
+# ---------------------------------------------------------------------------
+# The bitset feasibility engine against the Datalog rules
+# ---------------------------------------------------------------------------
+
+def test_base_mhb_equals_spec_on_corpus():
+    for name in CORPUS_FILES:
+        for model in MODELS:
+            ctx = _context(name, model)
+            assert ctx.base_mhb == spec_mhb(ctx.store, ctx.no_reorder,
+                                            set()), (name, model)
+
+
+def test_check_facts_equals_spec_on_analyzer_queries(monkeypatch):
+    queries = set()
+    check_facts = FeasibilityContext.check_facts
+
+    def recording(ctx, facts):
+        queries.add((ctx, facts))
+        return check_facts(ctx, facts)
+
+    monkeypatch.setattr(FeasibilityContext, "check_facts", recording)
+    for name in CORPUS_FILES:
+        for model in MODELS:
+            analyze_all(corpus_program(name), model)
+    monkeypatch.undo()
+    assert len(queries) > 1000
+    for ctx, facts in queries:
+        mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(facts),
+                                       _seeds(facts))
+        result = ctx.check_facts(facts)
+        assert result.witness == _spec_witness(mnrf, facts), facts
+        assert bool(result) == (result.witness is None)
+
+
+@MANY
+@given(st.sampled_from(CORPUS_FILES), st.sampled_from(MODELS), st.data())
+def test_engine_relations_equal_spec(name, model, data):
+    _, _, pairs = _rf_universe(name)
+    rf = frozenset(data.draw(st.sets(st.sampled_from(pairs), max_size=4))
+                   if pairs else ())
+    ctx = _context(name, model)
+    mhb, mnrf = _engine_relations(ctx, rf)
+    assert mhb == spec_mhb(ctx.store, ctx.no_reorder, set(rf), _seeds(rf))
+    want_mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(rf),
+                                        _seeds(rf))
+    assert mnrf == want_mnrf
+    result = ctx.check_facts(rf)
+    assert result.witness == _spec_witness(want_mnrf, rf)
+    assert bool(result) == (result.witness is None)
 
 
 @MANY
