@@ -4,8 +4,7 @@ litmus programs under SC, TSO, PSO, and RMO."""
 from .analysis import AnalysisStats, Verdict, analyze_all
 from .domain import AbstractEnv, Interval
 from .feasibility import (
-    NO_INTERFERENCE, FeasibilityContext, FeasibilityResult, MemoryModel,
-    RemoteStore, check_feasible,
+    FeasibilityContext, FeasibilityResult, MemoryModel, check_feasible,
 )
 from .frontend import ParseError, lower, parse, parse_and_lower
 from .ir import Program, validate
@@ -13,8 +12,8 @@ from .oracle import Execution, OracleLimitError, enumerate_executions, violates
 
 __all__ = [
     "AbstractEnv", "AnalysisStats", "Execution", "FeasibilityContext",
-    "FeasibilityResult", "Interval", "MemoryModel", "NO_INTERFERENCE",
-    "OracleLimitError", "ParseError", "Program", "RemoteStore", "Verdict",
-    "analyze_all", "check_feasible", "enumerate_executions", "lower",
-    "parse", "parse_and_lower", "validate", "violates",
+    "FeasibilityResult", "Interval", "MemoryModel", "OracleLimitError",
+    "ParseError", "Program", "Verdict", "analyze_all", "check_feasible",
+    "enumerate_executions", "lower", "parse", "parse_and_lower", "validate",
+    "violates",
 ]

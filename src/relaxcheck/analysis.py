@@ -1,20 +1,23 @@
 """Thread-modular analysis driver.
 
-The analysis runs in two phases.  A bootstrap fixpoint first runs every
-thread with each load conservatively joining the post-environments of all
-remote stores it might read, iterating (with widening) until the published
-store environments stabilize; this over-approximates every execution and
-seeds the second phase.
+Each load's candidates are computed first, once per analysis: the stores to
+its variable in other threads.  Init stores are not candidates; the initial
+value reaches a load through its sequential value.
 
-The second phase enumerates interference combinations: one simultaneous
-choice, for every load outside a loop, of a remote store to read from (or
-no remote interference).  Loads on a loop (`FlowGraph.loop_nodes`) are not
-enumerated; they join every candidate store not refuted outright.  Because
-a combination fixes a single source per load, its reads-from facts are
+A bootstrap fixpoint then runs every thread with each load joining the
+values of all its candidates not refuted outright, iterating (with
+widening) until the published store environments stabilize; this
+over-approximates every execution and seeds the enumeration.
+
+Enumeration then visits interference combinations: one simultaneous choice,
+for every load outside a loop, of a candidate to read from (or no remote
+interference).  Loads on a loop (`FlowGraph.loop_nodes`) are not
+enumerated; they join every candidate not refuted outright.  Because a
+combination fixes a single source per load, its reads-from facts are
 consistent by construction, and combinations refuted by the feasibility
 engine are pruned.  Each surviving combination is re-analyzed with
 combination-conditional environments — every load takes exactly its chosen
-store's environment, iterated across threads starting from the bootstrap
+store's value, iterated across threads starting from the bootstrap
 result — and assertions are judged on the environments of the surviving
 combinations only.
 """
@@ -24,10 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .domain import AbstractEnv, Interval, may_be_false, transfer
-from .feasibility import (
-    NO_INTERFERENCE, FeasibilityContext, MemoryModel, RemoteStore,
-)
-from .ir import Assert, FlowGraph, Load, Program, Store, VarId
+from .feasibility import FeasibilityContext, MemoryModel
+from .ir import Assert, FlowGraph, Load, Program, VarId
 from .relations import RelationStore, extract_all
 
 DEFAULT_CAP = 4096
@@ -75,15 +76,16 @@ def initial_env(program: Program) -> AbstractEnv:
 # ---------------------------------------------------------------------------
 
 def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
-                   choices: dict[int, object],
-                   fallback: dict[int, Interval] | None = None,
+                   pinned: dict[int, Interval],
+                   joined: dict[int, Interval] | None = None,
                    ) -> dict[int, AbstractEnv]:
-    """Least fixpoint of the per-node transfer over the graph, where loads
-    with a RemoteStore choice take the remote environment's value for the
-    loaded variable (replacing the sequential value), loads in `fallback`
-    join the given interval into the loaded variable, and all other loads
-    read their sequential value.  Widening at cycle nodes after 2 visits."""
-    fallback = fallback or {}
+    """Least fixpoint of the per-node transfer over the graph.  A load in
+    `pinned` reads the given interval instead of its sequential value, a
+    load in `joined` reads its sequential value joined with the given
+    interval, and every other load reads its sequential value.  Both maps
+    may hold loads of other threads (node ids are unique across graphs).
+    Widening at cycle nodes after 2 visits."""
+    joined = joined or {}
     cycles = graph.loop_nodes
     post: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                     for n in graph.nodes}
@@ -101,18 +103,17 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
             for p in graph.predecessors(n):
                 inp = inp.join(post[p])
         if isinstance(instr, Load) and not inp.is_bottom:
-            choice = choices.get(n, NO_INTERFERENCE)
-            if isinstance(choice, RemoteStore):
-                inp = inp.set(instr.src, choice.env.get(instr.src))
-            if n in fallback:
-                inp = inp.set(instr.src,
-                              inp.get(instr.src).join(fallback[n]))
+            if n in pinned:
+                inp = inp.set(instr.src, pinned[n])
+            if n in joined:
+                inp = inp.set(instr.src, inp.get(instr.src).join(joined[n]))
         out = transfer(instr, inp)
         visits[n] += 1
         new = post[n].join(out)
         if n in cycles and visits[n] > 2:
             new = post[n].widen(new)
-        if not (new.leq(post[n]) and post[n].leq(new)):
+        # new is post[n] joined (or widened) with out, so post[n] <= new
+        if not new.leq(post[n]):
             post[n] = new
             for s in graph.successors(n):
                 if s not in in_list:
@@ -125,29 +126,20 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
 # Interference collection and combination enumeration
 # ---------------------------------------------------------------------------
 
-def remote_stores_for(load_node: int, var: VarId, thread: str,
-                      relstore: RelationStore,
-                      store_envs: dict[int, AbstractEnv]) -> list[int]:
-    """Published stores (other threads, same variable) a load might read."""
-    return [s for s in sorted(store_envs)
-            if relstore.store_var.get(s) == var
-            and relstore.thread_of[s] != thread]
-
-
-def collect_candidates(program: Program, relstore: RelationStore,
-                       store_envs: dict[int, AbstractEnv],
+def collect_candidates(program: Program, relstore: RelationStore
                        ) -> dict[int, list[int]]:
-    """Per enumerable (non-loop) load across all threads: the candidate
-    remote store nodes.  Loads on loop cycles are handled by the joined
-    fallback instead of enumeration."""
+    """Per load across all threads: the stores to its variable in other
+    threads, init stores excluded, in node order."""
+    init_nodes = set(program.init_stores.values())
+    stores = sorted(s for s in relstore.store_var if s not in init_nodes)
     out: dict[int, list[int]] = {}
-    for name in program.threads:
-        graph = program.threads[name]
+    for graph in program.threads.values():
         for n in sorted(graph.nodes):
             instr = graph.nodes[n]
-            if isinstance(instr, Load) and n not in graph.loop_nodes:
-                out[n] = remote_stores_for(n, instr.src, graph.thread,
-                                           relstore, store_envs)
+            if isinstance(instr, Load):
+                out[n] = [s for s in stores
+                          if relstore.store_var[s] == instr.src
+                          and relstore.thread_of[s] != graph.thread]
     return out
 
 
@@ -181,44 +173,12 @@ def loop_fallback_env(load_node: int, var: VarId, stores: list[int],
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: bootstrap fixpoint (joins all interference, no pruning)
+# Phase 1: bootstrap fixpoint (joins every candidate not refuted outright)
 # ---------------------------------------------------------------------------
-
-def _store_nodes(program: Program) -> list[int]:
-    init_nodes = set(program.init_stores.values())
-    out = []
-    for g in program.threads.values():
-        for n in sorted(g.nodes):
-            if isinstance(g.nodes[n], Store) and n not in init_nodes:
-                out.append(n)
-    return sorted(out)
-
-
-def _all_load_fallbacks(program: Program, relstore: RelationStore,
-                        store_envs: dict[int, AbstractEnv],
-                        ctx: FeasibilityContext,
-                        loads: str = "all") -> dict[str, dict[int, Interval]]:
-    """Per thread, the joined-interference fallback map covering either
-    every load ('all', for the bootstrap) or only loop loads ('loops')."""
-    out: dict[str, dict[int, Interval]] = {}
-    for name in program.threads:
-        graph = program.threads[name]
-        fb: dict[int, Interval] = {}
-        for n in sorted(graph.nodes):
-            instr = graph.nodes[n]
-            if not isinstance(instr, Load):
-                continue
-            if loads == "loops" and n not in graph.loop_nodes:
-                continue
-            cands = remote_stores_for(n, instr.src, graph.thread,
-                                      relstore, store_envs)
-            fb[n] = loop_fallback_env(n, instr.src, cands, store_envs, ctx)
-        out[name] = fb
-    return out
-
 
 def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                        ctx: FeasibilityContext,
+                       candidates: dict[int, list[int]],
                        round_maps: list | None = None,
                        ) -> tuple[dict[int, AbstractEnv],
                                   dict[int, AbstractEnv], int]:
@@ -226,7 +186,8 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
     Returns (env map over all nodes, store post-environments, rounds);
     when round_maps is a list, the env map after each round is appended."""
     init = initial_env(program)
-    store_nodes = _store_nodes(program)
+    init_nodes = set(program.init_stores.values())
+    store_nodes = sorted(s for s in relstore.store_var if s not in init_nodes)
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                           for n in store_nodes}
     env_map: dict[int, AbstractEnv] = {
@@ -235,12 +196,12 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
 
     for round_no in range(1, _MAX_ROUNDS + 1):
         before_envs = dict(store_envs)
-        fallbacks = _all_load_fallbacks(program, relstore, store_envs, ctx)
+        joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
+                                       store_envs, ctx)
+                  for l, stores in candidates.items()}
         new_map: dict[int, AbstractEnv] = {}
-        for name in program.threads:
-            graph = program.threads[name]
-            post = analyze_thread(graph, init, {}, fallbacks[name])
-            new_map.update(post)
+        for graph in program.threads.values():
+            new_map.update(analyze_thread(graph, init, {}, joined))
         if round_no >= _WIDEN_ROUND:
             for n in new_map:
                 new_map[n] = env_map[n].widen(new_map[n])
@@ -262,9 +223,10 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
 # Phase 2: combination enumeration with conditional environments
 # ---------------------------------------------------------------------------
 
-def _run_combination(program: Program, sigma: dict[int, int | None],
+def _run_combination(program: Program, relstore: RelationStore,
+                     sigma: dict[int, int | None],
                      store_envs: dict[int, AbstractEnv],
-                     loop_fallbacks: dict[str, dict[int, Interval]],
+                     joined: dict[int, Interval],
                      init: AbstractEnv) -> dict[int, AbstractEnv]:
     """Re-analyze all threads with each load pinned to its chosen store,
     iterating the cross-thread environment flow from the bootstrap result.
@@ -273,14 +235,11 @@ def _run_combination(program: Program, sigma: dict[int, int | None],
     envs = dict(store_envs)
     posts: dict[int, AbstractEnv] = {}
     for _ in range(_SIGMA_ROUNDS):
+        pinned = {l: envs[s].get(relstore.load_var[l])
+                  for l, s in sigma.items() if s is not None}
         posts = {}
-        for name in program.threads:
-            graph = program.threads[name]
-            choices = {l: RemoteStore(s, envs[s])
-                       for l, s in sigma.items()
-                       if s is not None and l in graph.nodes}
-            posts.update(analyze_thread(graph, init, choices,
-                                        loop_fallbacks[name]))
+        for graph in program.threads.values():
+            posts.update(analyze_thread(graph, init, pinned, joined))
         new_envs = {s: posts[s] for s in envs}
         if new_envs == envs:
             break
@@ -303,14 +262,18 @@ def analyze_all(program: Program, model: MemoryModel,
                     for n, instr in g.nodes.items()
                     if isinstance(instr, Assert)}
 
-    boot_map, store_envs, rounds = bootstrap_fixpoint(program, relstore, ctx)
+    candidates = collect_candidates(program, relstore)
+    boot_map, store_envs, rounds = bootstrap_fixpoint(program, relstore, ctx,
+                                                      candidates)
     stats.outer_rounds = rounds
 
-    candidates = collect_candidates(program, relstore, store_envs)
-    thread_loads = {name: sorted(n for n in candidates
+    loop_nodes = {n for g in program.threads.values() for n in g.loop_nodes}
+    enumerable = {l: stores for l, stores in candidates.items()
+                  if l not in loop_nodes}
+    thread_loads = {name: sorted(n for n in enumerable
                                  if n in program.threads[name].nodes)
                     for name in program.threads}
-    combos, overflow = enumerate_combinations(candidates, cap)
+    combos, overflow = enumerate_combinations(enumerable, cap)
 
     if overflow:
         for name in program.threads:
@@ -320,8 +283,9 @@ def analyze_all(program: Program, model: MemoryModel,
             n: [((), boot_map[n])] for n in boot_map if n in assert_nodes})
         return boot_map, verdicts, stats
 
-    loop_fallbacks = _all_load_fallbacks(program, relstore, store_envs, ctx,
-                                         loads="loops")
+    joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
+                                   store_envs, ctx)
+              for l, stores in candidates.items() if l in loop_nodes}
 
     env_map: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                        for n in boot_map}
@@ -337,8 +301,8 @@ def analyze_all(program: Program, model: MemoryModel,
         for name in program.threads:
             feasible_proj[name].add(
                 tuple(sigma[l] for l in thread_loads[name]))
-        posts = _run_combination(program, sigma, store_envs,
-                                 loop_fallbacks, init)
+        posts = _run_combination(program, relstore, sigma, store_envs,
+                                 joined, init)
         witness = tuple(sorted(sigma.items()))
         for n, env in posts.items():
             env_map[n] = env_map[n].join(env)

@@ -22,7 +22,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .domain import AbstractEnv
 from .ir import Fence, Load, Program, Store, ThreadCreate, ThreadJoin, VarId
 from .relations import RelationStore, extract_all
 
@@ -39,30 +38,6 @@ class MemoryModel(enum.Enum):
 
 class ContractViolation(Exception):
     """Malformed interference combination (distinct from Infeasible)."""
-
-
-@dataclass(frozen=True)
-class RemoteStore:
-    """Choice for a load: read from this remote store with post-env env."""
-    store: int
-    env: AbstractEnv
-
-
-class _NoInterference:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NoInterference"
-
-
-NO_INTERFERENCE = _NoInterference()
-
-InterferenceCombination = dict  # load node -> RemoteStore | NO_INTERFERENCE
 
 
 @dataclass(frozen=True)
@@ -220,7 +195,7 @@ class FeasibilityContext:
         self._nodes = sorted(self.store.thread_of)
         self._bit = {n: i for i, n in enumerate(self._nodes)}
         self._stores_of: dict[VarId, int] = {}
-        for s, v in self.store.is_store:
+        for s, v in self.store.store_var.items():
             self._stores_of[v] = self._stores_of.get(v, 0) | 1 << self._bit[s]
         # MHB under no reads-from assumptions; every query starts from it
         self._base_rows = deduce_mhb(self._bit, self.store, self.no_reorder)
@@ -266,7 +241,7 @@ class FeasibilityContext:
         the load (otherwise the sequential value may be a forwarded own
         write, and no single source can be asserted)."""
         thread = self.store.thread_of[load_node]
-        for s, v in self.store.is_store:
+        for s, v in self.store.store_var.items():
             if v == var and self.store.thread_of[s] == thread:
                 if (load_node, s) not in self.store.not_reachable_from:
                     return None
@@ -329,20 +304,10 @@ class FeasibilityContext:
         self._cache[facts] = result
         return result
 
-    def check(self, ic: InterferenceCombination) -> FeasibilityResult:
-        return self.check_facts(self.facts_for(
-            {load: _source(choice) for load, choice in ic.items()}))
-
-
-def _source(choice) -> int | None:
-    """The store a combination's choice reads (None: no interference)."""
-    if choice is NO_INTERFERENCE:
-        return None
-    if isinstance(choice, RemoteStore):
-        return choice.store
-    raise ContractViolation(f"bad choice {choice!r}")
-
 
 def check_feasible(program: Program, model: MemoryModel,
-                   ic: InterferenceCombination) -> FeasibilityResult:
-    return FeasibilityContext(program, model).check(ic)
+                   sources: dict[int, int | None]) -> FeasibilityResult:
+    """One-shot feasibility of a choice of source per load (see
+    `FeasibilityContext.facts_for`)."""
+    ctx = FeasibilityContext(program, model)
+    return ctx.check_facts(ctx.facts_for(sources))

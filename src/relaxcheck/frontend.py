@@ -15,9 +15,11 @@ atomizes them so every CFG node touches at most one global:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ir
+from .domain import negate
 from .ir import (
     And, Assert, Assume, BinOp, Cmp, Cond, Const, Expr, Fence, Load,
     LocalAssign, Membar, Nop, Not, Or, Store, ThreadCreate, ThreadJoin, Var,
@@ -123,6 +125,18 @@ class SourceProgram:
     globals: list[tuple[str, int]]
     threads: list[ThreadBlock]
     epilogue_asserts: list[AssertStmt] = field(default_factory=list)
+
+
+def _nested_stmts(stmts: list[Stmt]) -> Iterator[Stmt]:
+    """Every statement of stmts and of the if/while bodies within, in
+    source order."""
+    for s in stmts:
+        yield s
+        if isinstance(s, IfStmt):
+            yield from _nested_stmts(s.then)
+            yield from _nested_stmts(s.els)
+        elif isinstance(s, WhileStmt):
+            yield from _nested_stmts(s.body)
 
 
 # ---------------------------------------------------------------------------
@@ -408,21 +422,12 @@ class _Parser:
 
     def _check_thread_targets(self, threads: list[ThreadBlock]) -> None:
         names = {t.name for t in threads}
-
-        def walk(stmts):
-            for s in stmts:
-                if isinstance(s, (CreateStmt, JoinStmt)):
-                    if s.target not in names:
-                        raise ParseError(f"unknown thread {s.target!r}",
-                                         s.line, s.col)
-                elif isinstance(s, IfStmt):
-                    walk(s.then)
-                    walk(s.els)
-                elif isinstance(s, WhileStmt):
-                    walk(s.body)
-
         for t in threads:
-            walk(t.stmts)
+            for s in _nested_stmts(t.stmts):
+                if (isinstance(s, (CreateStmt, JoinStmt))
+                        and s.target not in names):
+                    raise ParseError(f"unknown thread {s.target!r}",
+                                     s.line, s.col)
 
     # -- expressions ------------------------------------------------------
     def expr(self) -> Expr:
@@ -604,21 +609,8 @@ class _Lowerer:
         return v
 
     def _explicit_creates(self) -> set[str]:
-        created = set()
-
-        def walk(stmts):
-            for s in stmts:
-                if isinstance(s, CreateStmt):
-                    created.add(s.target)
-                elif isinstance(s, IfStmt):
-                    walk(s.then)
-                    walk(s.els)
-                elif isinstance(s, WhileStmt):
-                    walk(s.body)
-
-        for t in self.ast.threads:
-            walk(t.stmts)
-        return created
+        return {s.target for t in self.ast.threads
+                for s in _nested_stmts(t.stmts) if isinstance(s, CreateStmt)}
 
     def lower(self) -> ir.Program:
         graphs: dict[str, ir.FlowGraph] = {}
@@ -702,7 +694,6 @@ class _Lowerer:
         then_tails = b.tails
 
         b.tails = branch_tails
-        from .domain import negate
         b.append(Assume(negate(cond)))
         for st in s.els:
             self._stmt(b, st)
@@ -712,7 +703,6 @@ class _Lowerer:
         b.append(Nop())  # merge point
 
     def _while(self, b: _GraphBuilder, s: WhileStmt) -> None:
-        from .domain import negate
         head = b.append(Nop())  # loop head: each iteration re-reads globals
         cond = self._hoist_cond(b, s.cond)
         cond_tails = b.tails

@@ -18,8 +18,8 @@ from .ir import (
 @dataclass
 class RelationStore:
     """Named finite relations over node ids (and variables)."""
-    is_load: set[tuple[int, VarId]] = field(default_factory=set)
-    is_store: set[tuple[int, VarId]] = field(default_factory=set)
+    load_var: dict[int, VarId] = field(default_factory=dict)
+    store_var: dict[int, VarId] = field(default_factory=dict)
     is_fence: set[int] = field(default_factory=set)
     membars: dict[str, set[int]] = field(
         default_factory=lambda: {"LL": set(), "LS": set(),
@@ -28,11 +28,16 @@ class RelationStore:
     not_reachable_from: set[tuple[int, int]] = field(default_factory=set)
     thread_creates: set[tuple[int, int]] = field(default_factory=set)
     thread_joins: set[tuple[int, int]] = field(default_factory=set)
-
-    # convenience indexes (filled by extract_all)
-    load_var: dict[int, VarId] = field(default_factory=dict)
-    store_var: dict[int, VarId] = field(default_factory=dict)
     thread_of: dict[int, str] = field(default_factory=dict)
+
+    # IsLoad/IsStore as relations, for the dump and the Datalog spec
+    @property
+    def is_load(self) -> set[tuple[int, VarId]]:
+        return set(self.load_var.items())
+
+    @property
+    def is_store(self) -> set[tuple[int, VarId]]:
+        return set(self.store_var.items())
 
     def dump(self) -> str:
         """Deterministic text dump of every relation, one tuple per line."""
@@ -66,10 +71,8 @@ def extract_unary(program: Program) -> RelationStore:
             instr = g.nodes[n]
             store.thread_of[n] = name
             if isinstance(instr, Load):
-                store.is_load.add((n, instr.src))
                 store.load_var[n] = instr.src
             elif isinstance(instr, Store):
-                store.is_store.add((n, instr.dst))
                 store.store_var[n] = instr.dst
             elif isinstance(instr, Fence):
                 store.is_fence.add(n)

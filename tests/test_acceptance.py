@@ -10,9 +10,7 @@ import time
 
 from relaxcheck.analysis import analyze_all
 from relaxcheck.domain import AbstractEnv, Interval, transfer
-from relaxcheck.feasibility import (
-    NO_INTERFERENCE, MemoryModel, check_feasible,
-)
+from relaxcheck.feasibility import MemoryModel, check_feasible
 from relaxcheck.ir import BinOp, Const, Load, Store, Var, VarId
 from relaxcheck.oracle import violates
 
@@ -84,7 +82,7 @@ def test_criterion_4_buffer_forwarding():
         g = prog.threads[tname]
         for n in sorted(g.nodes):
             if isinstance(g.nodes[n], Load):
-                loads[n] = NO_INTERFERENCE
+                loads[n] = None
     assert check_feasible(prog, TSO, loads)
     assert not check_feasible(prog, SC, loads)
     print("criterion 4: PASS (forwarding program alarms under TSO; "

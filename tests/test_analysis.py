@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 from relaxcheck.analysis import (
-    analyze_all, analyze_thread, bootstrap_fixpoint, enumerate_combinations,
-    initial_env, loop_fallback_env,
+    analyze_all, analyze_thread, bootstrap_fixpoint, collect_candidates,
+    enumerate_combinations, initial_env, loop_fallback_env,
 )
 from relaxcheck.domain import AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
-from relaxcheck.ir import Load
+from relaxcheck.ir import Load, VarId
 from relaxcheck.relations import extract_all
 
 from conftest import MODELS, analyzer_result, corpus_program
@@ -120,10 +120,27 @@ def test_bootstrap_rounds_grow_monotonically():
         relstore = extract_all(prog)
         ctx = FeasibilityContext(prog, TSO, relstore)
         rounds: list[dict] = []
-        bootstrap_fixpoint(prog, relstore, ctx, round_maps=rounds)
+        candidates = collect_candidates(prog, relstore)
+        bootstrap_fixpoint(prog, relstore, ctx, candidates, round_maps=rounds)
         for before, after in zip(rounds, rounds[1:]):
             for n in before:
                 assert before[n].leq(after[n]), (name, n)
+
+
+def test_analyze_thread_load_reads():
+    # a pinned load reads the given interval, a joined load reads its
+    # sequential value joined with it, any other load its sequential value
+    prog, _ = parse_and_lower("global x = 0; thread t { local a = x; }")
+    g = prog.threads["t"]
+    (load,) = (n for n in g.nodes if isinstance(g.nodes[n], Load))
+    a = VarId("a", "t")
+    init = initial_env(prog)
+    five = {load: Interval.const(5)}
+    for pinned, joined, expected in ((five, None, Interval(5, 5)),
+                                     ({}, five, Interval(0, 5)),
+                                     ({}, None, Interval(0, 0))):
+        post = analyze_thread(g, init, pinned, joined)
+        assert post[g.exit].get(a) == expected, (pinned, joined)
 
 
 def test_widening_forces_loop_termination():

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from relaxcheck.domain import AbstractEnv
 from relaxcheck.feasibility import (
-    NO_INTERFERENCE, ContractViolation, FeasibilityContext, MemoryModel,
-    RemoteStore, check_feasible, compute_no_reorder,
+    ContractViolation, FeasibilityContext, MemoryModel, check_feasible,
+    compute_no_reorder,
 )
 from relaxcheck.ir import Load, Store
 from relaxcheck.relations import extract_all
@@ -127,12 +126,6 @@ def _fig2_combinations():
     return prog, rho, l_x
 
 
-def _interference(sources):
-    """The same combination as the analyzer's per-load choices."""
-    return {l: NO_INTERFERENCE if s is None else RemoteStore(s, AbstractEnv())
-            for l, s in sources.items()}
-
-
 def test_fig2_rho4_infeasible_under_tso():
     prog, rho, l_x = _fig2_combinations()
     ctx = FeasibilityContext(prog, TSO)
@@ -150,14 +143,14 @@ def test_fig2_rho4_infeasible_under_tso():
 def test_fig2_rho123_feasible_under_tso():
     prog, rho, _ = _fig2_combinations()
     for k in (1, 2, 3):
-        assert check_feasible(prog, TSO, _interference(rho[k])), k
+        assert check_feasible(prog, TSO, rho[k]), k
 
 
 def test_fig2_rho4_feasible_under_rmo():
     # without store->store ordering from the program side, the fence still
     # orders t1's stores; but the reader's loads may reorder under RMO
     prog, rho, _ = _fig2_combinations()
-    assert check_feasible(prog, RMO, _interference(rho[4]))
+    assert check_feasible(prog, RMO, rho[4])
 
 
 def test_fig2_nofence_rho4_feasible_under_pso():
@@ -165,7 +158,7 @@ def test_fig2_nofence_rho4_feasible_under_pso():
     l_y = _load_of(prog, "t2", "y")
     l_x = _load_of(prog, "t2", "x")
     s_y = _store_of(prog, "t1", "y")
-    ic = {l_y: RemoteStore(s_y, AbstractEnv()), l_x: NO_INTERFERENCE}
+    ic = {l_y: s_y, l_x: None}
     assert check_feasible(prog, PSO, ic)
     assert not check_feasible(prog, TSO, ic)
 
@@ -178,8 +171,7 @@ def _fig7_combination(prog):
     l_x = _load_of(prog, "u1", "x")   # reads its own buffered store
     l_y = _load_of(prog, "u1", "y")   # reads the initial value
     l_x2 = _load_of(prog, "u2", "x")  # reads the initial value
-    return {l_x: NO_INTERFERENCE, l_y: NO_INTERFERENCE,
-            l_x2: NO_INTERFERENCE}
+    return {l_x: None, l_y: None, l_x2: None}
 
 
 def test_fig7_sequential_combination_feasible_under_tso():
@@ -209,7 +201,7 @@ def test_contract_violation_wrong_variable():
     l_y = _load_of(prog, "t2", "y")
     s_x = _store_of(prog, "t1", "x")
     with pytest.raises(ContractViolation):
-        check_feasible(prog, TSO, {l_y: RemoteStore(s_x, AbstractEnv())})
+        check_feasible(prog, TSO, {l_y: s_x})
 
 
 def test_contract_violation_same_thread_store():
@@ -217,14 +209,14 @@ def test_contract_violation_same_thread_store():
     l_x = _load_of(prog, "u1", "x")
     s_x = _store_of(prog, "u1", "x")
     with pytest.raises(ContractViolation):
-        check_feasible(prog, TSO, {l_x: RemoteStore(s_x, AbstractEnv())})
+        check_feasible(prog, TSO, {l_x: s_x})
 
 
 def test_contract_violation_non_load_key():
     prog = corpus_program("fig2_fence.lit")
     s_x = _store_of(prog, "t1", "x")
     with pytest.raises(ContractViolation):
-        check_feasible(prog, TSO, {s_x: NO_INTERFERENCE})
+        check_feasible(prog, TSO, {s_x: None})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Parser, printer round-trip, and lowering tests."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from relaxcheck.analysis import analyze_all
@@ -218,3 +220,13 @@ def test_root_thread_creates_and_joins_every_thread():
 def test_model_directive_returned_by_parse_and_lower():
     _, model = parse_and_lower("model pso;\nglobal x;\nthread t { x = 1; }\n")
     assert model == "pso"
+
+
+def test_readme_example_is_proved_under_tso():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Input language", 1)[1]
+    example = section.split("```")[1]
+    program, model = parse_and_lower(example)
+    assert model == "tso"
+    _, verdicts, _ = analyze_all(program, MemoryModel.TSO)
+    assert [v.status for v in verdicts] == ["PROVED"]
