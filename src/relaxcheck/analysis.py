@@ -20,6 +20,11 @@ combination-conditional environments — every load takes exactly its chosen
 store's value, iterated across threads starting from the bootstrap
 result — and assertions are judged on the environments of the surviving
 combinations only.
+
+Thread runs are memoized per analysis (`ThreadRuns`): a thread's fixpoint
+depends only on the intervals its own loads read from other threads, so the
+bootstrap rounds and every combination's rounds share one memo, and a thread
+whose inputs did not change is not analyzed again.
 """
 from __future__ import annotations
 
@@ -122,6 +127,31 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     return post
 
 
+class ThreadRuns:
+    """The `analyze_thread` runs of one analysis, memoized.  A thread's
+    fixpoint depends only on the intervals its own loads are pinned to or
+    joined with (`init` is fixed for the whole analysis), so the key is the
+    thread plus those intervals.  A miss calls `analyze_thread` through the
+    module global.  Hits share one result map, which callers only read."""
+
+    def __init__(self, program: Program, init: AbstractEnv):
+        self.init = init
+        self._loads = {name: sorted(n for n, instr in g.nodes.items()
+                                    if isinstance(instr, Load))
+                       for name, g in program.threads.items()}
+        self._memo: dict[tuple, dict[int, AbstractEnv]] = {}
+
+    def run(self, graph: FlowGraph, pinned: dict[int, Interval],
+            joined: dict[int, Interval]) -> dict[int, AbstractEnv]:
+        key = (graph.thread, tuple((pinned.get(l), joined.get(l))
+                                   for l in self._loads[graph.thread]))
+        post = self._memo.get(key)
+        if post is None:
+            post = self._memo[key] = analyze_thread(graph, self.init,
+                                                    pinned, joined)
+        return post
+
+
 # ---------------------------------------------------------------------------
 # Interference collection and combination enumeration
 # ---------------------------------------------------------------------------
@@ -180,12 +210,16 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                        ctx: FeasibilityContext,
                        candidates: dict[int, list[int]],
                        round_maps: list | None = None,
+                       runs: ThreadRuns | None = None,
                        ) -> tuple[dict[int, AbstractEnv],
                                   dict[int, AbstractEnv], int]:
     """Global fixpoint with every load joining all its candidates' values.
     Returns (env map over all nodes, store post-environments, rounds);
-    when round_maps is a list, the env map after each round is appended."""
-    init = initial_env(program)
+    when round_maps is a list, the env map after each round is appended.
+    Thread runs go through `runs`, the analysis's memo (a fresh one when
+    omitted)."""
+    if runs is None:
+        runs = ThreadRuns(program, initial_env(program))
     init_nodes = set(program.init_stores.values())
     store_nodes = sorted(s for s in relstore.store_var if s not in init_nodes)
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
@@ -201,7 +235,7 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                   for l, stores in candidates.items()}
         new_map: dict[int, AbstractEnv] = {}
         for graph in program.threads.values():
-            new_map.update(analyze_thread(graph, init, {}, joined))
+            new_map.update(runs.run(graph, {}, joined))
         if round_no >= _WIDEN_ROUND:
             for n in new_map:
                 new_map[n] = env_map[n].widen(new_map[n])
@@ -227,7 +261,7 @@ def _run_combination(program: Program, relstore: RelationStore,
                      sigma: dict[int, int | None],
                      store_envs: dict[int, AbstractEnv],
                      joined: dict[int, Interval],
-                     init: AbstractEnv) -> dict[int, AbstractEnv]:
+                     runs: ThreadRuns) -> dict[int, AbstractEnv]:
     """Re-analyze all threads with each load pinned to its chosen store,
     iterating the cross-thread environment flow from the bootstrap result.
     Every iterate soundly covers the combination's executions; the last one
@@ -239,7 +273,7 @@ def _run_combination(program: Program, relstore: RelationStore,
                   for l, s in sigma.items() if s is not None}
         posts = {}
         for graph in program.threads.values():
-            posts.update(analyze_thread(graph, init, pinned, joined))
+            posts.update(runs.run(graph, pinned, joined))
         new_envs = {s: posts[s] for s in envs}
         if new_envs == envs:
             break
@@ -253,7 +287,7 @@ def analyze_all(program: Program, model: MemoryModel,
                            AnalysisStats]:
     relstore = extract_all(program)
     ctx = FeasibilityContext(program, model, relstore)
-    init = initial_env(program)
+    runs = ThreadRuns(program, initial_env(program))
 
     stats = AnalysisStats(
         threads=len(program.threads),
@@ -264,7 +298,7 @@ def analyze_all(program: Program, model: MemoryModel,
 
     candidates = collect_candidates(program, relstore)
     boot_map, store_envs, rounds = bootstrap_fixpoint(program, relstore, ctx,
-                                                      candidates)
+                                                      candidates, runs=runs)
     stats.outer_rounds = rounds
 
     loop_nodes = {n for g in program.threads.values() for n in g.loop_nodes}
@@ -302,7 +336,7 @@ def analyze_all(program: Program, model: MemoryModel,
             feasible_proj[name].add(
                 tuple(sigma[l] for l in thread_loads[name]))
         posts = _run_combination(program, relstore, sigma, store_envs,
-                                 joined, init)
+                                 joined, runs)
         witness = tuple(sorted(sigma.items()))
         for n, env in posts.items():
             env_map[n] = env_map[n].join(env)

@@ -129,51 +129,68 @@ class AbstractEnv:
         self._map: dict[VarId, Interval] = {} if is_bottom else dict(mapping or {})
 
     @classmethod
+    def _adopt(cls, mapping: dict[VarId, Interval]) -> "AbstractEnv":
+        """A non-bottom env that owns `mapping` (no copy)."""
+        env = cls.__new__(cls)
+        env.is_bottom = False
+        env._map = mapping
+        return env
+
+    @classmethod
     def bottom(cls) -> "AbstractEnv":
         return cls(is_bottom=True)
 
     def get(self, var: VarId) -> Interval:
         if self.is_bottom:
-            return Interval.bottom()
-        return self._map.get(var, Interval.top())
+            return _BOTTOM
+        return self._map.get(var, _TOP)
 
     def set(self, var: VarId, value: Interval) -> "AbstractEnv":
         if self.is_bottom or value.is_bottom:
             return AbstractEnv.bottom()
         m = dict(self._map)
         m[var] = value
-        return AbstractEnv(m)
+        return AbstractEnv._adopt(m)
 
     def variables(self) -> list[VarId]:
         return sorted(self._map, key=str)
 
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
-        if self.is_bottom:
-            return other
-        if other.is_bottom:
-            return self
-        m = {}
-        for v in set(self._map) | set(other._map):
-            m[v] = self.get(v).join(other.get(v))
-        return AbstractEnv(m)
+        return self._pointwise(other, Interval.join)
 
     def widen(self, other: "AbstractEnv") -> "AbstractEnv":
+        return self._pointwise(other, Interval.widen)
+
+    # _pointwise and leq read both maps directly.  A variable mapped on one
+    # side only is Top on the other, so it joins and widens to Top and the
+    # result keeps the union of the key sets.  Identical intervals are their
+    # own join, widening and bound.
+
+    def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
         if self.is_bottom:
             return other
         if other.is_bottom:
             return self
-        m = {}
-        for v in set(self._map) | set(other._map):
-            m[v] = self.get(v).widen(other.get(v))
-        return AbstractEnv(m)
+        a, b = self._map, other._map
+        m = {v: _TOP if (y := b.get(v)) is None else x if x is y else op(x, y)
+             for v, x in a.items()}
+        for v in b:
+            if v not in a:
+                m[v] = _TOP
+        return AbstractEnv._adopt(m)
 
     def leq(self, other: "AbstractEnv") -> bool:
         if self.is_bottom:
             return True
         if other.is_bottom:
             return False
-        for v in set(self._map) | set(other._map):
-            if not self.get(v).leq(other.get(v)):
+        a, b = self._map, other._map
+        for v, y in b.items():
+            x = a.get(v)
+            if x is None:
+                if not y.is_top():
+                    return False
+            elif x is not y and not x.leq(y):
                 return False
         return True
 

@@ -22,9 +22,21 @@ EPILOGUE_THREAD = "__epilogue__"
 
 @dataclass(frozen=True)
 class VarId:
-    """A variable: global (owner is None) or local to one thread."""
+    """A variable: global (owner is None) or local to one thread.  Its hash
+    is computed once; equality and repr use the fields alone."""
     name: str
     owner: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.owner)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild (and rehash) from the fields: str hashes differ per process
+        return VarId, (self.name, self.owner)
 
     @property
     def is_global(self) -> bool:

@@ -1,9 +1,14 @@
-"""Analysis driver: sequential degeneracy, enumeration, fixpoint shape."""
+"""Analysis driver: sequential degeneracy, enumeration, fixpoint shape,
+memoized thread runs."""
 from __future__ import annotations
 
+from collections import Counter
+
+from relaxcheck import analysis
 from relaxcheck.analysis import (
-    analyze_all, analyze_thread, bootstrap_fixpoint, collect_candidates,
-    enumerate_combinations, initial_env, loop_fallback_env,
+    ThreadRuns, analyze_all, analyze_thread, bootstrap_fixpoint,
+    collect_candidates, enumerate_combinations, initial_env,
+    loop_fallback_env,
 )
 from relaxcheck.domain import AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
@@ -11,7 +16,7 @@ from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Load, VarId
 from relaxcheck.relations import extract_all
 
-from conftest import MODELS, analyzer_result, corpus_program
+from conftest import CORPUS_FILES, MODELS, analyzer_result, corpus_program
 
 SC, TSO = MemoryModel.SC, MemoryModel.TSO
 
@@ -182,3 +187,69 @@ def test_alarm_witness_names_loads_and_sources():
     for load, store in v.witness:
         assert isinstance(all_nodes[load], Load)
         assert store is None or store in all_nodes
+
+
+# ---------------------------------------------------------------------------
+# Memoized thread runs
+# ---------------------------------------------------------------------------
+
+def _unmemoized(self, graph, pinned, joined):
+    return analysis.analyze_thread(graph, self.init, pinned, joined)
+
+
+def test_memo_changes_no_result(monkeypatch):
+    cells = [(name, model) for name in CORPUS_FILES for model in MODELS]
+    memoized = {cell: analyzer_result(*cell) for cell in cells}
+    monkeypatch.setattr(ThreadRuns, "run", _unmemoized)
+    for name, model in cells:
+        env_map, verdicts, stats = analyze_all(corpus_program(name), model)
+        memo_map, memo_verdicts, memo_stats = memoized[name, model]
+        assert verdicts == memo_verdicts, (name, model)
+        assert stats == memo_stats, (name, model)
+        assert env_map.keys() == memo_map.keys()
+        for n, env in env_map.items():
+            assert env == memo_map[n], (name, model, n)
+            assert str(env) == str(memo_map[n]), (name, model, n)
+
+
+_NEST = """
+global g = 0, h = 0;
+thread nest {
+  local i = 0;
+  while (i < 3) {
+    h = i;
+    local j = 0;
+    while (j < 2) {
+      g = j;
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+}
+thread obs {
+  local a = g;
+  local b = h;
+  assert(a >= 0 && a < 2);
+  assert(b < 2);
+}
+"""
+
+
+def test_thread_without_loads_runs_once(monkeypatch):
+    # the nest thread has no global loads, so every bootstrap round and
+    # every combination round gives it the same input
+    prog, _ = parse_and_lower(_NEST)
+    runs: Counter = Counter()
+    real = analysis.analyze_thread
+
+    def counting(graph, init_env, pinned, joined=None):
+        runs[graph.thread] += 1
+        return real(graph, init_env, pinned, joined)
+
+    monkeypatch.setattr(analysis, "analyze_thread", counting)
+    for model in MODELS:
+        runs.clear()
+        _, verdicts, stats = analyze_all(prog, model)
+        assert runs["nest"] == 1, (model, runs)
+        assert stats.outer_rounds > 1 and runs["obs"] > 1, (model, runs)
+        assert [v.status for v in verdicts] == ["PROVED", "ALARM"]

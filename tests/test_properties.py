@@ -1,6 +1,7 @@
 """Randomized property suites (>= 200 cases each).
 
-Covers: interval lattice laws, transfer monotonicity and soundness on
+Covers: interval lattice laws, env operations against a per-variable
+reference, VarId hashing, transfer monotonicity and soundness on
 singletons, per-model relation inclusion chains, fact monotonicity of the
 feasibility engine and of the Datalog engine, the bitset feasibility engine
 against the Datalog rules it implements, dominator equivalence against a
@@ -142,6 +143,57 @@ def test_widening_chain_stabilizes_quickly(start, steps):
 def test_env_join_upper_bound(e1, e2):
     j = e1.join(e2)
     assert e1.leq(j) and e2.leq(j)
+
+
+# `u` is never mapped: it reads Top in a non-bottom env, bottom in a bottom
+# one, and stands for every variable outside VARS.
+_READ_VARS = VARS + (VarId("u"),)
+
+
+@st.composite
+def sparse_environments(draw) -> AbstractEnv:
+    """Bottom, or a map over a subset of VARS holding explicit Top entries
+    as well as other intervals."""
+    if draw(st.integers(0, 9)) == 0:
+        return AbstractEnv.bottom()
+    values = st.one_of(st.just(Interval.top()), intervals())
+    return AbstractEnv(draw(st.dictionaries(st.sampled_from(VARS), values)))
+
+
+def _reads(env) -> dict:
+    return {v: env.get(v) for v in _READ_VARS}
+
+
+def _pointwise(op, e1, e2) -> dict:
+    return {v: op(e1.get(v), e2.get(v)) for v in _READ_VARS}
+
+
+@MANY
+@given(sparse_environments(), sparse_environments())
+def test_env_operations_equal_pointwise_reference(e1, e2):
+    assert _reads(e1.join(e2)) == _pointwise(Interval.join, e1, e2)
+    assert _reads(e1.widen(e2)) == _pointwise(Interval.widen, e1, e2)
+    assert e1.leq(e2) == all(_pointwise(Interval.leq, e1, e2).values())
+    assert (e1 == e2) == (_reads(e1) == _reads(e2))
+    if not (e1.is_bottom or e2.is_bottom):
+        keys = set(e1.variables()) | set(e2.variables())
+        assert set(e1.join(e2).variables()) == keys
+        assert set(e1.widen(e2).variables()) == keys
+
+
+_names = st.sampled_from(["x", "y", "a"])
+_owners = st.sampled_from([None, "t", "u"])
+
+
+@MANY
+@given(_names, _owners, _names, _owners)
+def test_varid_hash_agrees_with_equality(n1, o1, n2, o2):
+    v1, v2 = VarId(n1, o1), VarId(n2, o2)
+    assert (v1 == v2) == ((n1, o1) == (n2, o2))
+    if v1 == v2:
+        assert hash(v1) == hash(v2)
+    assert {v1: 1}.get(v2) == (1 if v1 == v2 else None)
+    assert repr(v1) == f"VarId(name={n1!r}, owner={o1!r})"
 
 
 # ---------------------------------------------------------------------------
