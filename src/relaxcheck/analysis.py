@@ -37,7 +37,7 @@ from .ir import Assert, FlowGraph, Load, Program, VarId
 from .relations import RelationStore, extract_all
 
 DEFAULT_CAP = 4096
-_WIDEN_ROUND = 3      # widen the bootstrap env map between rounds after this
+_WIDEN_ROUND = 3      # from this bootstrap round on, widen the store envs
 _MAX_ROUNDS = 64      # safety net; widening makes this unreachable
 _SIGMA_ROUNDS = 8     # cap on combination-conditional re-analysis rounds
 
@@ -209,47 +209,35 @@ def loop_fallback_env(load_node: int, var: VarId, stores: list[int],
 def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                        ctx: FeasibilityContext,
                        candidates: dict[int, list[int]],
-                       round_maps: list | None = None,
-                       runs: ThreadRuns | None = None,
+                       runs: ThreadRuns,
                        ) -> tuple[dict[int, AbstractEnv],
                                   dict[int, AbstractEnv], int]:
     """Global fixpoint with every load joining all its candidates' values.
-    Returns (env map over all nodes, store post-environments, rounds);
-    when round_maps is a list, the env map after each round is appended.
-    Thread runs go through `runs`, the analysis's memo (a fresh one when
-    omitted)."""
-    if runs is None:
-        runs = ThreadRuns(program, initial_env(program))
+    The only cross-thread state is the store post-environments: each round
+    runs every thread through `runs` against the loads' joined values and
+    accumulates the store posts.  Once a round leaves them unchanged, every
+    thread was run with loads covering every store value it can read, so
+    that round's runs are the fixpoint.  Returns (the last round's env map
+    over all nodes, store post-environments, rounds)."""
     init_nodes = set(program.init_stores.values())
     store_nodes = sorted(s for s in relstore.store_var if s not in init_nodes)
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                           for n in store_nodes}
-    env_map: dict[int, AbstractEnv] = {
-        n: AbstractEnv.bottom()
-        for g in program.threads.values() for n in g.nodes}
-
     for round_no in range(1, _MAX_ROUNDS + 1):
-        before_envs = dict(store_envs)
         joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
                                        store_envs, ctx)
                   for l, stores in candidates.items()}
-        new_map: dict[int, AbstractEnv] = {}
+        env_map: dict[int, AbstractEnv] = {}
         for graph in program.threads.values():
-            new_map.update(runs.run(graph, {}, joined))
-        if round_no >= _WIDEN_ROUND:
-            for n in new_map:
-                new_map[n] = env_map[n].widen(new_map[n])
+            env_map.update(runs.run(graph, {}, joined))
+        new_envs = {}
         for s in store_nodes:
-            store_envs[s] = store_envs[s].join(new_map[s])
+            new_envs[s] = store_envs[s].join(env_map[s])
             if round_no >= _WIDEN_ROUND:
-                store_envs[s] = before_envs[s].widen(store_envs[s])
-        stable = (all(store_envs[s] == before_envs[s] for s in store_nodes)
-                  and all(new_map[n] == env_map[n] for n in new_map))
-        env_map = new_map
-        if round_maps is not None:
-            round_maps.append(dict(env_map))
-        if stable:
+                new_envs[s] = store_envs[s].widen(new_envs[s])
+        if new_envs == store_envs:
             return env_map, store_envs, round_no
+        store_envs = new_envs
     raise AnalysisError("bootstrap fixpoint did not stabilize")
 
 

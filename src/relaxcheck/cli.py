@@ -66,6 +66,12 @@ def run(argv: list[str]) -> int:
     if args.max_combinations < 1:
         print("error: --max-combinations must be positive", file=sys.stderr)
         return 2
+    for flag, budget in (("--oracle-max-events", args.oracle_max_events),
+                         ("--oracle-max-loop-iters",
+                          args.oracle_max_loop_iters)):
+        if budget < 0:
+            print(f"error: {flag} must be non-negative", file=sys.stderr)
+            return 2
 
     model = _MODELS[args.model or ast.model or "sc"]
 

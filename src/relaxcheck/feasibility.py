@@ -199,6 +199,19 @@ class FeasibilityContext:
             self._stores_of[v] = self._stores_of.get(v, 0) | 1 << self._bit[s]
         # MHB under no reads-from assumptions; every query starts from it
         self._base_rows = deduce_mhb(self._bit, self.store, self.no_reorder)
+        # per load: the init store, when no same-thread store to its
+        # variable can reach it (otherwise the sequential value may be a
+        # forwarded own write, and no single source can be asserted)
+        own_stores: dict[tuple[str, VarId], list[int]] = {}
+        for s, v in self.store.store_var.items():
+            own_stores.setdefault((self.store.thread_of[s], v), []).append(s)
+        self._init_source: dict[int, int | None] = {}
+        for l, v in self.store.load_var.items():
+            own = own_stores.get((self.store.thread_of[l], v), ())
+            forwarded = any((l, s) not in self.store.not_reachable_from
+                            for s in own)
+            self._init_source[l] = (None if forwarded
+                                    else program.init_stores.get(v))
         self._cache: dict[frozenset, FeasibilityResult] = {}
 
     @cached_property
@@ -224,7 +237,7 @@ class FeasibilityContext:
             if var is None:
                 raise ContractViolation(f"node {load_node} is not a load")
             if source is None:
-                init = self._init_only_source(load_node, var)
+                init = self._init_source[load_node]
                 if init is not None:
                     facts.add((load_node, init))
                 continue
@@ -235,17 +248,6 @@ class FeasibilityContext:
                     f"store {source} is not remote to load {load_node}")
             facts.add((load_node, source))
         return frozenset(facts)
-
-    def _init_only_source(self, load_node: int, var: VarId) -> int | None:
-        """The init store node, when no same-thread store to var can reach
-        the load (otherwise the sequential value may be a forwarded own
-        write, and no single source can be asserted)."""
-        thread = self.store.thread_of[load_node]
-        for s, v in self.store.store_var.items():
-            if v == var and self.store.thread_of[s] == thread:
-                if (load_node, s) not in self.store.not_reachable_from:
-                    return None
-        return self.program.init_stores.get(var)
 
     # -- deciding the rules ------------------------------------------------
     def mhb_rows(self, facts: frozenset[tuple[int, int]]) -> list[int]:

@@ -10,7 +10,7 @@ from relaxcheck.analysis import (
     collect_candidates, enumerate_combinations, initial_env,
     loop_fallback_env,
 )
-from relaxcheck.domain import AbstractEnv, Interval
+from relaxcheck.domain import POS_INF, AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Load, VarId
@@ -119,17 +119,50 @@ def test_loop_fallback_excludes_refuted_candidate():
 # Fixpoint shape
 # ---------------------------------------------------------------------------
 
-def test_bootstrap_rounds_grow_monotonically():
-    for name in ("fig2_fence.lit", "lb.lit", "locked.lit"):
-        prog = corpus_program(name)
-        relstore = extract_all(prog)
-        ctx = FeasibilityContext(prog, TSO, relstore)
-        rounds: list[dict] = []
-        candidates = collect_candidates(prog, relstore)
-        bootstrap_fixpoint(prog, relstore, ctx, candidates, round_maps=rounds)
-        for before, after in zip(rounds, rounds[1:]):
-            for n in before:
-                assert before[n].leq(after[n]), (name, n)
+# Each thread's loads read x and store it incremented, so without widening
+# the store envs of x would grow forever.
+_COUNTER = """
+global x = 0;
+thread t1 { local a = x; x = a + 1; }
+thread t2 { local a = x; x = a + 1; }
+thread t3 { local b = x; }
+"""
+
+
+def _bootstrap_closure(prog, model):
+    """Bootstrap one program, then check that its store envs are closed:
+    fresh runs against the loads' values recomputed from the returned
+    store envs give back the returned env map, and every store's post is
+    within its store env.  Returns the store envs."""
+    relstore = extract_all(prog)
+    ctx = FeasibilityContext(prog, model, relstore)
+    candidates = collect_candidates(prog, relstore)
+    env_map, store_envs, _ = bootstrap_fixpoint(
+        prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)))
+    joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
+                                   store_envs, ctx)
+              for l, stores in candidates.items()}
+    for graph in prog.threads.values():
+        post = analyze_thread(graph, initial_env(prog), {}, joined)
+        for n in graph.nodes:
+            assert post[n] == env_map[n], (graph.thread, n)
+    for s, env in store_envs.items():
+        assert env_map[s].leq(env), s
+    return store_envs
+
+
+def test_bootstrap_store_envs_are_closed():
+    for name in CORPUS_FILES:
+        for model in MODELS:
+            _bootstrap_closure(corpus_program(name), model)
+    prog, _ = parse_and_lower(_COUNTER)
+    x = VarId("x")
+    for model in MODELS:
+        # bootstrap_fixpoint raises past _MAX_ROUNDS rounds
+        store_envs = _bootstrap_closure(prog, model)
+        assert len(store_envs) == 2  # the stores of t1 and t2
+        for s, env in store_envs.items():
+            assert env.get(x).hi == POS_INF, (model, s)
 
 
 def test_analyze_thread_load_reads():

@@ -106,6 +106,15 @@ def test_bad_cap_exit_two(capsys):
     assert code == 2 and "max-combinations" in err
 
 
+@pytest.mark.parametrize("flag", ["--oracle-max-events",
+                                  "--oracle-max-loop-iters"])
+def test_negative_oracle_budget_exit_two(capsys, flag):
+    code, out, err = _run(capsys, "--oracle", flag, "-1",
+                          _corpus("seq1.lit"))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be non-negative\n"
+
+
 def test_model_directive_used_when_no_flag(tmp_path, capsys):
     f = tmp_path / "m.lit"
     f.write_text("model pso;\nglobal x = 0;\nthread t1 { x = 1; }\n"
