@@ -21,6 +21,20 @@ store's value, iterated across threads starting from the bootstrap
 result — and assertions are judged on the environments of the surviving
 combinations only.
 
+Combinations are enumerated per interference component, not as one global
+product (`interference_components`): threads share a component when a load
+of one has a candidate store in the other (loop loads included), or when a
+non-root thread creates or joins the other.  A component's reads-from facts
+touch only its own threads and variables, so the feasible combinations of
+the whole program are the product of each component's, and enumerating
+each component alone gives the same env maps, verdict statuses and
+per-thread stats as the product whenever every component has a feasible
+combination; a witness is the product's witness restricted to its own
+component's loads.  The cap applies per component: an overflowing component
+takes the bootstrap result, and its threads with enumerable loads are
+marked `overflowed`.  Threads in no component with an enumerable load run
+once, with no feasibility query.
+
 Thread runs are memoized per analysis (`ThreadRuns`): a thread's fixpoint
 depends only on the intervals its own loads read from other threads, so the
 bootstrap rounds and every combination's rounds share one memo, and a thread
@@ -29,11 +43,14 @@ whose inputs did not change is not analyzed again.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from .domain import AbstractEnv, Interval, may_be_false, transfer
 from .feasibility import FeasibilityContext, MemoryModel
-from .ir import Assert, FlowGraph, Load, Program, VarId
+from .ir import (
+    Assert, FlowGraph, Load, Program, ThreadCreate, ThreadJoin, VarId,
+)
 from .relations import RelationStore, extract_all
 
 DEFAULT_CAP = 4096
@@ -95,10 +112,10 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     post: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                     for n in graph.nodes}
     visits: dict[int, int] = {n: 0 for n in graph.nodes}
-    worklist = [graph.entry]
+    worklist = deque([graph.entry])
     in_list = {graph.entry}
     while worklist:
-        n = worklist.pop(0)
+        n = worklist.popleft()
         in_list.discard(n)
         instr = graph.nodes[n]
         if n == graph.entry:
@@ -173,6 +190,39 @@ def collect_candidates(program: Program, relstore: RelationStore
     return out
 
 
+def interference_components(program: Program, relstore: RelationStore,
+                            candidates: dict[int, list[int]]
+                            ) -> list[list[str]]:
+    """The threads, grouped so that no reads-from fact crosses a group: a
+    load and each of its candidate stores put their threads in one group,
+    and so does a non-root thread's create or join of a child (the root's
+    own creates and joins unite nothing).  Groups and their threads are in
+    `program.threads` order."""
+    parent = {name: name for name in program.threads}
+
+    def find(t: str) -> str:
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    def unite(a: str, b: str) -> None:
+        parent[find(a)] = find(b)
+
+    for l, stores in candidates.items():
+        for s in stores:
+            unite(relstore.thread_of[l], relstore.thread_of[s])
+    for name, graph in program.threads.items():
+        if name != program.root:
+            for instr in graph.nodes.values():
+                if isinstance(instr, (ThreadCreate, ThreadJoin)):
+                    unite(name, instr.child)
+    groups: dict[str, list[str]] = {}
+    for name in program.threads:
+        groups.setdefault(find(name), []).append(name)
+    return list(groups.values())
+
+
 def enumerate_combinations(candidates: dict[int, list[int]], cap: int
                            ) -> tuple[list[dict[int, int | None]], bool]:
     """Cartesian product over loads of (no-interference + candidate
@@ -245,24 +295,24 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
 # Phase 2: combination enumeration with conditional environments
 # ---------------------------------------------------------------------------
 
-def _run_combination(program: Program, relstore: RelationStore,
+def _run_combination(graphs: list[FlowGraph], relstore: RelationStore,
                      sigma: dict[int, int | None],
                      store_envs: dict[int, AbstractEnv],
                      joined: dict[int, Interval],
-                     runs: ThreadRuns) -> dict[int, AbstractEnv]:
-    """Re-analyze all threads with each load pinned to its chosen store,
-    iterating the cross-thread environment flow from the bootstrap result.
-    Every iterate soundly covers the combination's executions; the last one
-    (stable or round-capped) is returned."""
-    envs = dict(store_envs)
-    posts: dict[int, AbstractEnv] = {}
+                     runs: ThreadRuns) -> dict[str, dict[int, AbstractEnv]]:
+    """Re-analyze one component's threads with each load pinned to its
+    chosen store, iterating the cross-thread environment flow from the
+    bootstrap result (`store_envs` holds the component's stores).  Every
+    iterate soundly covers the combination's executions; the last one
+    (stable or round-capped) is returned, as one `runs` result per
+    thread."""
+    envs = store_envs
+    posts: dict[str, dict[int, AbstractEnv]] = {}
     for _ in range(_SIGMA_ROUNDS):
         pinned = {l: envs[s].get(relstore.load_var[l])
                   for l, s in sigma.items() if s is not None}
-        posts = {}
-        for graph in program.threads.values():
-            posts.update(runs.run(graph, pinned, joined))
-        new_envs = {s: posts[s] for s in envs}
+        posts = {g.thread: runs.run(g, pinned, joined) for g in graphs}
+        new_envs = {s: posts[relstore.thread_of[s]][s] for s in envs}
         if new_envs == envs:
             break
         envs = new_envs
@@ -280,9 +330,9 @@ def analyze_all(program: Program, model: MemoryModel,
     stats = AnalysisStats(
         threads=len(program.threads),
         nodes=sum(len(g.nodes) for g in program.threads.values()))
-    assert_nodes = {n for g in program.threads.values()
-                    for n, instr in g.nodes.items()
-                    if isinstance(instr, Assert)}
+    asserts = {name: [n for n, instr in g.nodes.items()
+                      if isinstance(instr, Assert)]
+               for name, g in program.threads.items()}
 
     candidates = collect_candidates(program, relstore)
     boot_map, store_envs, rounds = bootstrap_fixpoint(program, relstore, ctx,
@@ -290,53 +340,77 @@ def analyze_all(program: Program, model: MemoryModel,
     stats.outer_rounds = rounds
 
     loop_nodes = {n for g in program.threads.values() for n in g.loop_nodes}
-    enumerable = {l: stores for l, stores in candidates.items()
-                  if l not in loop_nodes}
-    thread_loads = {name: sorted(n for n in enumerable
-                                 if n in program.threads[name].nodes)
-                    for name in program.threads}
-    combos, overflow = enumerate_combinations(enumerable, cap)
-
-    if overflow:
-        for name in program.threads:
-            stats.per_thread[name] = ThreadStats(
-                overflowed=bool(thread_loads[name]))
-        verdicts = _verdicts(program, model, {
-            n: [((), boot_map[n])] for n in boot_map if n in assert_nodes})
-        return boot_map, verdicts, stats
-
     joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
                                    store_envs, ctx)
               for l, stores in candidates.items() if l in loop_nodes}
 
     env_map: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                        for n in boot_map}
+    # the `runs` results joined into env_map, by id; holding them keeps
+    # each id unique even when `runs` does not (the memo does)
+    absorbed: dict[int, dict[int, AbstractEnv]] = {}
+
+    def absorb(post: dict[int, AbstractEnv]) -> None:
+        if id(post) not in absorbed:
+            absorbed[id(post)] = post
+            for n, env in post.items():
+                env_map[n] = env_map[n].join(env)
+
     assert_runs: dict[int, list] = {}
-    seen_proj: dict[str, set] = {name: set() for name in program.threads}
-    feasible_proj: dict[str, set] = {name: set() for name in program.threads}
-    for sigma in combos:
-        for name in program.threads:
-            seen_proj[name].add(
-                tuple(sigma[l] for l in thread_loads[name]))
-        if not ctx.check_facts(ctx.facts_for(sigma)):
+    per_thread: dict[str, ThreadStats] = {}
+    for names in interference_components(program, relstore, candidates):
+        graphs = [program.threads[name] for name in names]
+        thread_loads = {g.thread: sorted(l for l in g.nodes
+                                         if l in candidates
+                                         and l not in loop_nodes)
+                        for g in graphs}
+        loads = {l: candidates[l] for g in graphs
+                 for l in thread_loads[g.thread]}
+        if not loads:
+            for g in graphs:
+                post = runs.run(g, {}, joined)
+                absorb(post)
+                for n in asserts[g.thread]:
+                    assert_runs[n] = [((), post[n])]
+                per_thread[g.thread] = ThreadStats(combinations_enumerated=1)
             continue
-        for name in program.threads:
-            feasible_proj[name].add(
-                tuple(sigma[l] for l in thread_loads[name]))
-        posts = _run_combination(program, relstore, sigma, store_envs,
-                                 joined, runs)
-        witness = tuple(sorted(sigma.items()))
-        for n, env in posts.items():
-            env_map[n] = env_map[n].join(env)
-            if n in assert_nodes:
-                assert_runs.setdefault(n, []).append((witness, env))
+        combos, overflow = enumerate_combinations(loads, cap)
+        if overflow:
+            for g in graphs:
+                per_thread[g.thread] = ThreadStats(
+                    overflowed=bool(thread_loads[g.thread]))
+                for n in g.nodes:
+                    env_map[n] = boot_map[n]
+                for n in asserts[g.thread]:
+                    assert_runs[n] = [((), boot_map[n])]
+            continue
+        comp_envs = {s: store_envs[s] for g in graphs for s in g.nodes
+                     if s in store_envs}
+        seen_proj: dict[str, set] = {name: set() for name in names}
+        feasible_proj: dict[str, set] = {name: set() for name in names}
+        for sigma in combos:
+            for name in names:
+                seen_proj[name].add(
+                    tuple(sigma[l] for l in thread_loads[name]))
+            if not ctx.check_facts(ctx.facts_for(sigma)):
+                continue
+            for name in names:
+                feasible_proj[name].add(
+                    tuple(sigma[l] for l in thread_loads[name]))
+            posts = _run_combination(graphs, relstore, sigma, comp_envs,
+                                     joined, runs)
+            witness = tuple(sorted(sigma.items()))
+            for name, post in posts.items():
+                absorb(post)
+                for n in asserts[name]:
+                    assert_runs.setdefault(n, []).append((witness, post[n]))
+        for name in names:
+            per_thread[name] = ThreadStats(
+                combinations_enumerated=len(seen_proj[name]),
+                combinations_pruned=(len(seen_proj[name])
+                                     - len(feasible_proj[name])))
 
-    for name in program.threads:
-        stats.per_thread[name] = ThreadStats(
-            combinations_enumerated=len(seen_proj[name]),
-            combinations_pruned=(len(seen_proj[name])
-                                 - len(feasible_proj[name])))
-
+    stats.per_thread = {name: per_thread[name] for name in program.threads}
     verdicts = _verdicts(program, model, assert_runs)
     return env_map, verdicts, stats
 
