@@ -106,7 +106,13 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     load in `joined` reads its sequential value joined with the given
     interval, and every other load reads its sequential value.  Both maps
     may hold loads of other threads (node ids are unique across graphs).
-    Widening at cycle nodes after 2 visits."""
+    Widening at cycle nodes after 2 visits.
+
+    A visit makes one pointwise pass over the node's env: `old.join(out)`,
+    or at a cycle node past 2 visits `old.widen(out)`, which equals
+    `old.widen(old.join(out))` pointwise (bottom and one-sided variables
+    included).  The lattice operations return `old` itself when nothing
+    changed, so `new is old` ends an unchanged visit without a `leq`."""
     joined = joined or {}
     cycles = graph.loop_nodes
     post: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
@@ -121,8 +127,9 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
         if n == graph.entry:
             inp = init_env
         else:
-            inp = AbstractEnv.bottom()
-            for p in graph.predecessors(n):
+            preds = graph.predecessors(n)
+            inp = post[preds[0]]
+            for p in preds[1:]:
                 inp = inp.join(post[p])
         if isinstance(instr, Load) and not inp.is_bottom:
             if n in pinned:
@@ -131,11 +138,13 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
                 inp = inp.set(instr.src, inp.get(instr.src).join(joined[n]))
         out = transfer(instr, inp)
         visits[n] += 1
-        new = post[n].join(out)
+        old = post[n]
         if n in cycles and visits[n] > 2:
-            new = post[n].widen(new)
-        # new is post[n] joined (or widened) with out, so post[n] <= new
-        if not new.leq(post[n]):
+            new = old.widen(out)
+        else:
+            new = old.join(out)
+        # new is old joined (or widened) with out, so old <= new
+        if new is not old and not new.leq(old):
             post[n] = new
             for s in graph.successors(n):
                 if s not in in_list:
@@ -242,13 +251,20 @@ def enumerate_combinations(candidates: dict[int, list[int]], cap: int
 
 def loop_fallback_env(load_node: int, var: VarId, stores: list[int],
                       store_envs: dict[int, AbstractEnv],
-                      ctx: FeasibilityContext) -> Interval:
+                      ctx: FeasibilityContext,
+                      live: dict[int, list[int]]) -> Interval:
     """Joined value contribution for a load handled without enumeration:
-    every candidate not refuted outright for this load contributes."""
+    every candidate not refuted outright for this load contributes.  Whether
+    one is refuted outright depends on neither the round nor the store envs,
+    so the load's first call decides it for each candidate and keeps the
+    survivors in `live` (one dict per analysis) for every later call."""
+    kept = live.get(load_node)
+    if kept is None:
+        kept = live[load_node] = [
+            s for s in stores if ctx.check_facts(frozenset({(load_node, s)}))]
     acc = Interval.bottom()
-    for s in stores:
-        if ctx.check_facts(frozenset({(load_node, s)})):
-            acc = acc.join(store_envs[s].get(var))
+    for s in kept:
+        acc = acc.join(store_envs[s].get(var))
     return acc
 
 
@@ -260,6 +276,7 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                        ctx: FeasibilityContext,
                        candidates: dict[int, list[int]],
                        runs: ThreadRuns,
+                       live: dict[int, list[int]],
                        ) -> tuple[dict[int, AbstractEnv],
                                   dict[int, AbstractEnv], int]:
     """Global fixpoint with every load joining all its candidates' values.
@@ -267,15 +284,17 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
     runs every thread through `runs` against the loads' joined values and
     accumulates the store posts.  Once a round leaves them unchanged, every
     thread was run with loads covering every store value it can read, so
-    that round's runs are the fixpoint.  Returns (the last round's env map
-    over all nodes, store post-environments, rounds)."""
+    that round's runs are the fixpoint.  `live` is `loop_fallback_env`'s
+    per-analysis record of the candidates not refuted outright.  Returns
+    (the last round's env map over all nodes, store post-environments,
+    rounds)."""
     init_nodes = set(program.init_stores.values())
     store_nodes = sorted(s for s in relstore.store_var if s not in init_nodes)
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                           for n in store_nodes}
     for round_no in range(1, _MAX_ROUNDS + 1):
         joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                       store_envs, ctx)
+                                       store_envs, ctx, live)
                   for l, stores in candidates.items()}
         env_map: dict[int, AbstractEnv] = {}
         for graph in program.threads.values():
@@ -335,13 +354,14 @@ def analyze_all(program: Program, model: MemoryModel,
                for name, g in program.threads.items()}
 
     candidates = collect_candidates(program, relstore)
-    boot_map, store_envs, rounds = bootstrap_fixpoint(program, relstore, ctx,
-                                                      candidates, runs=runs)
+    live: dict[int, list[int]] = {}
+    boot_map, store_envs, rounds = bootstrap_fixpoint(
+        program, relstore, ctx, candidates, runs, live)
     stats.outer_rounds = rounds
 
     loop_nodes = {n for g in program.threads.values() for n in g.loop_nodes}
     joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                   store_envs, ctx)
+                                   store_envs, ctx, live)
               for l, stores in candidates.items() if l in loop_nodes}
 
     env_map: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()

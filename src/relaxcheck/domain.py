@@ -3,6 +3,15 @@
 Bounds are mathematical integers extended with +/-infinity (represented by
 float inf, only ever used as a sentinel).  Environments map variables to
 intervals; unmapped variables read as Top.
+
+Intervals and environments are immutable, and operations may return an
+operand by identity: a join or widening whose result equals an operand
+returns that operand, a widening to Top returns the shared Top, `set`
+returns the env itself when the variable already maps to that very
+interval, and the bottom environment is one shared object.  So a fixpoint
+visit in which nothing changes allocates nothing, and `new is old` is a
+cheap "no change" test.  Environments may share their maps with each other:
+nothing writes to an env's map once the env is built.
 """
 from __future__ import annotations
 
@@ -59,11 +68,19 @@ class Interval:
         return not self.is_bottom and self.lo <= v <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
+        if self is other or other.is_bottom:
+            return self
         if self.is_bottom:
             return other
-        if other.is_bottom:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        if self.lo <= other.lo:
+            if self.hi >= other.hi:
+                return self
+            if self.lo == other.lo:
+                return other
+            return Interval(self.lo, other.hi)
+        if other.hi >= self.hi:
+            return other
+        return Interval(other.lo, self.hi)
 
     def meet(self, other: "Interval") -> "Interval":
         if self.is_bottom or other.is_bottom:
@@ -81,12 +98,18 @@ class Interval:
         return self.lo >= other.lo and self.hi <= other.hi
 
     def widen(self, other: "Interval") -> "Interval":
+        if self is other or other.is_bottom:
+            return self
         if self.is_bottom:
             return other
-        if other.is_bottom:
-            return self
         lo = self.lo if self.lo <= other.lo else NEG_INF
         hi = self.hi if self.hi >= other.hi else POS_INF
+        if lo == self.lo and hi == self.hi:
+            return self
+        if lo == other.lo and hi == other.hi:
+            return other
+        if lo == NEG_INF and hi == POS_INF:
+            return _TOP
         return Interval(lo, hi)
 
     def add(self, other: "Interval") -> "Interval":
@@ -138,7 +161,7 @@ class AbstractEnv:
 
     @classmethod
     def bottom(cls) -> "AbstractEnv":
-        return cls(is_bottom=True)
+        return _BOTTOM_ENV
 
     def get(self, var: VarId) -> Interval:
         if self.is_bottom:
@@ -147,7 +170,9 @@ class AbstractEnv:
 
     def set(self, var: VarId, value: Interval) -> "AbstractEnv":
         if self.is_bottom or value.is_bottom:
-            return AbstractEnv.bottom()
+            return _BOTTOM_ENV
+        if self._map.get(var) is value:
+            return self
         m = dict(self._map)
         m[var] = value
         return AbstractEnv._adopt(m)
@@ -164,20 +189,33 @@ class AbstractEnv:
     # _pointwise and leq read both maps directly.  A variable mapped on one
     # side only is Top on the other, so it joins and widens to Top and the
     # result keeps the union of the key sets.  Identical intervals are their
-    # own join, widening and bound.
+    # own join, widening and bound.  `op` returns its first operand when the
+    # result equals it, so the map is copied only at the first variable that
+    # changes, and `self` comes back when none does and no key is added.
 
     def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
+        if self is other or other.is_bottom:
+            return self
         if self.is_bottom:
             return other
-        if other.is_bottom:
-            return self
         a, b = self._map, other._map
-        m = {v: _TOP if (y := b.get(v)) is None else x if x is y else op(x, y)
-             for v, x in a.items()}
-        for v in b:
-            if v not in a:
-                m[v] = _TOP
-        return AbstractEnv._adopt(m)
+        m = None
+        for v, x in a.items():
+            y = b.get(v)
+            if y is x:
+                continue
+            z = _TOP if y is None else op(x, y)
+            if z is not x:
+                if m is None:
+                    m = dict(a)
+                m[v] = z
+        if not b.keys() <= a.keys():
+            if m is None:
+                m = dict(a)
+            for v in b:
+                if v not in a:
+                    m[v] = _TOP
+        return self if m is None else AbstractEnv._adopt(m)
 
     def leq(self, other: "AbstractEnv") -> bool:
         if self.is_bottom:
@@ -205,6 +243,9 @@ class AbstractEnv:
         parts = [f"{v}↦{self._map[v]}" for v in self.variables()
                  if not self._map[v].is_top()]
         return "{" + ", ".join(parts) + "}"
+
+
+_BOTTOM_ENV = AbstractEnv(is_bottom=True)
 
 
 def eval_expr(expr: Expr, env: AbstractEnv) -> Interval:
@@ -241,6 +282,24 @@ def _bound_for(op: str, rhs: Interval) -> Interval:
     raise ValueError(op)
 
 
+def _may_hold(op: str, left: Interval, right: Interval) -> bool:
+    """Whether 'l op r' holds for some l in `left` and r in `right` (both
+    non-bottom)."""
+    if op == "==":
+        return left.lo <= right.hi and right.lo <= left.hi
+    if op == "!=":
+        return not (left.lo == left.hi == right.lo == right.hi)
+    if op == "<":
+        return left.lo < right.hi
+    if op == "<=":
+        return left.lo <= right.hi
+    if op == ">":
+        return left.hi > right.lo
+    if op == ">=":
+        return left.hi >= right.lo
+    raise ValueError(op)
+
+
 def _refine_cmp(cmp: Cmp, env: AbstractEnv) -> AbstractEnv:
     left_i = eval_expr(cmp.left, env)
     right_i = eval_expr(cmp.right, env)
@@ -248,15 +307,7 @@ def _refine_cmp(cmp: Cmp, env: AbstractEnv) -> AbstractEnv:
         return AbstractEnv.bottom()
 
     # definitely-false comparisons produce bottom
-    feasible = {
-        "==": not left_i.meet(right_i).is_bottom,
-        "!=": not (left_i.lo == left_i.hi == right_i.lo == right_i.hi),
-        "<": left_i.lo < right_i.hi,
-        "<=": left_i.lo <= right_i.hi,
-        ">": left_i.hi > right_i.lo,
-        ">=": left_i.hi >= right_i.lo,
-    }[cmp.op]
-    if not feasible:
+    if not _may_hold(cmp.op, left_i, right_i):
         return AbstractEnv.bottom()
 
     out = env

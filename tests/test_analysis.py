@@ -1,8 +1,8 @@
 """Analysis driver: sequential degeneracy, enumeration, fixpoint shape,
-memoized thread runs."""
+memoized thread runs, fixpoint exactness against the reference loop."""
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 
 from relaxcheck import analysis
 from relaxcheck.analysis import (
@@ -111,7 +111,7 @@ def test_loop_fallback_excludes_refuted_candidate():
                   if isinstance(spin.nodes[n], Load))
     # wrong-variable store contributes nothing to a load of done
     env = loop_fallback_env(l_done, spin.nodes[l_done].src, [],
-                            {s_x: AbstractEnv()}, ctx)
+                            {s_x: AbstractEnv()}, ctx, {})
     assert env.is_bottom
 
 
@@ -138,9 +138,11 @@ def _bootstrap_closure(prog, model):
     ctx = FeasibilityContext(prog, model, relstore)
     candidates = collect_candidates(prog, relstore)
     env_map, store_envs, _ = bootstrap_fixpoint(
-        prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)))
+        prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)),
+        {})
+    # a fresh record of the surviving candidates: decided anew, not reused
     joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                   store_envs, ctx)
+                                   store_envs, ctx, {})
               for l, stores in candidates.items()}
     for graph in prog.threads.values():
         post = analyze_thread(graph, initial_env(prog), {}, joined)
@@ -286,3 +288,158 @@ def test_thread_without_loads_runs_once(monkeypatch):
         assert runs["nest"] == 1, (model, runs)
         assert stats.outer_rounds > 1 and runs["obs"] > 1, (model, runs)
         assert [v.status for v in verdicts] == ["PROVED", "ALARM"]
+
+
+# ---------------------------------------------------------------------------
+# Fixpoint exactness: analyze_thread against the reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_analyze_thread(graph, init_env, pinned, joined=None):
+    """The fixpoint loop before its visits were made cheap: the input is a
+    fresh bottom joined with every predecessor's post, a widening node past
+    2 visits widens the join of its old env and the transfer's output, and
+    every visit ends with a full `leq`.  Same FIFO order, same widening
+    nodes, same module-global `transfer`."""
+    joined = joined or {}
+    cycles = graph.loop_nodes
+    post = {n: AbstractEnv(is_bottom=True) for n in graph.nodes}
+    visits = {n: 0 for n in graph.nodes}
+    worklist = deque([graph.entry])
+    in_list = {graph.entry}
+    while worklist:
+        n = worklist.popleft()
+        in_list.discard(n)
+        instr = graph.nodes[n]
+        if n == graph.entry:
+            inp = init_env
+        else:
+            inp = AbstractEnv(is_bottom=True)
+            for p in graph.predecessors(n):
+                inp = inp.join(post[p])
+        if isinstance(instr, Load) and not inp.is_bottom:
+            if n in pinned:
+                inp = inp.set(instr.src, pinned[n])
+            if n in joined:
+                inp = inp.set(instr.src, inp.get(instr.src).join(joined[n]))
+        out = analysis.transfer(instr, inp)
+        visits[n] += 1
+        new = post[n].join(out)
+        if n in cycles and visits[n] > 2:
+            new = post[n].widen(new)
+        if not new.leq(post[n]):
+            post[n] = new
+            for s in graph.successors(n):
+                if s not in in_list:
+                    in_list.add(s)
+                    worklist.append(s)
+    return post
+
+
+def _exact(post):
+    """Each node's env as plain data: None for bottom, else its whole map,
+    so an explicit Top entry and a missing key differ."""
+    return {n: None if env.is_bottom else dict(env._map)
+            for n, env in post.items()}
+
+
+def _nest_text(depth: int) -> str:
+    """`depth` nested counting loops publishing the outermost and innermost
+    counters, and an observer reading both."""
+    lines = ["global g = 0, h = 0;", "thread nest {"]
+    indent = "  "
+    for level in range(depth):
+        lines.append(f"{indent}local i{level} = 0;")
+        lines.append(f"{indent}while (i{level} < {2 + level % 3}) {{")
+        indent += "  "
+        if level == 0:
+            lines.append(f"{indent}h = i0;")
+    lines.append(f"{indent}g = i{depth - 1};")
+    for level in reversed(range(depth)):
+        lines.append(f"{indent}i{level} = i{level} + 1;")
+        indent = indent[:-2]
+        lines.append(f"{indent}}}")
+    lines += ["}", "thread obs {", "  local a = g;", "  local b = h;",
+              "  assert(a < 2);", "}"]
+    return "\n".join(lines)
+
+
+def _assert_fixpoints_exact(prog, model, monkeypatch, label):
+    """Every thread of `prog`, run alone and with the bootstrap's joined
+    values, gives node-for-node the reference's env maps with as many
+    `transfer` and `AbstractEnv.widen` calls."""
+    relstore = extract_all(prog)
+    ctx = FeasibilityContext(prog, model, relstore)
+    candidates = collect_candidates(prog, relstore)
+    init = initial_env(prog)
+    live: dict[int, list[int]] = {}
+    _, store_envs, _ = bootstrap_fixpoint(
+        prog, relstore, ctx, candidates, ThreadRuns(prog, init), live)
+    joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
+                                   store_envs, ctx, live)
+              for l, stores in candidates.items()}
+    calls: Counter = Counter()
+    total: Counter = Counter()
+    transfer, widen = analysis.transfer, AbstractEnv.widen
+
+    def counting_transfer(instr, env):
+        calls["transfer"] += 1
+        return transfer(instr, env)
+
+    def counting_widen(self, other):
+        calls["widen"] += 1
+        return widen(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "transfer", counting_transfer)
+        m.setattr(AbstractEnv, "widen", counting_widen)
+        for graph in prog.threads.values():
+            for loads in ({}, joined):
+                where = (label, model, graph.thread, bool(loads))
+                calls.clear()
+                expected = _reference_analyze_thread(graph, init, {}, loads)
+                expected_calls = dict(calls)
+                calls.clear()
+                got = analyze_thread(graph, init, {}, loads)
+                assert dict(calls) == expected_calls, where
+                assert _exact(got) == _exact(expected), where
+                total.update(calls)
+    return total
+
+
+def test_fixpoint_equals_reference_on_corpus(monkeypatch):
+    for name in CORPUS_FILES:
+        for model in MODELS:
+            _assert_fixpoints_exact(corpus_program(name), model,
+                                    monkeypatch, name)
+
+
+def test_fixpoint_equals_reference_on_nests(monkeypatch):
+    for depth in range(2, 11):
+        prog, _ = parse_and_lower(_nest_text(depth))
+        calls = _assert_fixpoints_exact(prog, TSO, monkeypatch,
+                                        f"nest-{depth}")
+        # every nest widens, so the widening counts are not vacuous
+        assert calls["widen"] > 0, depth
+
+
+# A local first assigned inside a loop reaches the loop head with nothing
+# else changed: the head's new env only adds that key (as Top), so it is not
+# its old env by identity yet is below it, and must not propagate.
+_LOOP_LOCAL_ONLY = """
+global x = 0;
+thread t {
+  while (x < 1) {
+    local a = 0;
+  }
+  while (x < 1) {
+    local b = x;
+    local c = b * b;
+  }
+}
+"""
+
+
+def test_fixpoint_equals_reference_when_only_a_key_is_added(monkeypatch):
+    prog, _ = parse_and_lower(_LOOP_LOCAL_ONLY)
+    for model in MODELS:
+        _assert_fixpoints_exact(prog, model, monkeypatch, "loop-local-only")

@@ -1,11 +1,12 @@
 """Randomized property suites (>= 200 cases each).
 
 Covers: interval lattice laws, env operations against a per-variable
-reference, VarId hashing, transfer monotonicity and soundness on
-singletons, per-model relation inclusion chains, fact monotonicity of the
-feasibility engine and of the Datalog engine, the bitset feasibility engine
-against the Datalog rules it implements, dominator equivalence against a
-brute-force oracle, flow-graph adjacency, loop nodes and NotReachableFrom
+reference, identity-preserving lattice operations (operand results, the
+single widen pass, operands left unchanged), VarId hashing, transfer
+monotonicity and soundness on singletons, per-model relation inclusion
+chains, fact monotonicity of the feasibility engine and of the Datalog
+engine, the bitset feasibility engine against the Datalog rules it
+implements, dominator equivalence against a brute-force oracle, flow-graph adjacency, loop nodes and NotReachableFrom
 against edge-scan references, oracle behavior inclusion, verdict
 monotonicity across models, and run determinism.
 """
@@ -21,7 +22,8 @@ from relaxcheck.datalog import (
     Database, atom, rule, solve, spec_mhb, spec_must_not_read_from,
 )
 from relaxcheck.domain import (
-    NEG_INF, POS_INF, AbstractEnv, Interval, transfer,
+    NEG_INF, POS_INF, AbstractEnv, Interval, _may_hold, negate, refine,
+    transfer,
 )
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.ir import (
@@ -168,19 +170,6 @@ def _pointwise(op, e1, e2) -> dict:
     return {v: op(e1.get(v), e2.get(v)) for v in _READ_VARS}
 
 
-@MANY
-@given(sparse_environments(), sparse_environments())
-def test_env_operations_equal_pointwise_reference(e1, e2):
-    assert _reads(e1.join(e2)) == _pointwise(Interval.join, e1, e2)
-    assert _reads(e1.widen(e2)) == _pointwise(Interval.widen, e1, e2)
-    assert e1.leq(e2) == all(_pointwise(Interval.leq, e1, e2).values())
-    assert (e1 == e2) == (_reads(e1) == _reads(e2))
-    if not (e1.is_bottom or e2.is_bottom):
-        keys = set(e1.variables()) | set(e2.variables())
-        assert set(e1.join(e2).variables()) == keys
-        assert set(e1.widen(e2).variables()) == keys
-
-
 _names = st.sampled_from(["x", "y", "a"])
 _owners = st.sampled_from([None, "t", "u"])
 
@@ -239,6 +228,180 @@ def test_transfer_sound_on_singletons(instr, x, a, b):
             return  # no concrete successor: nothing to contain
     for v, c in concrete.items():
         assert out.get(v).contains(c), (instr, v, c)
+
+
+# ---------------------------------------------------------------------------
+# Identity-preserving lattice operations
+# ---------------------------------------------------------------------------
+# Joins, widenings and `set` may return an operand itself, so results alias
+# their operands' maps.  These properties check such results against
+# references that always build a fresh value, the identity that lets
+# `analyze_thread` widen in one pass, and that no operation writes to an
+# operand.
+
+def _ref_join(a: Interval, b: Interval) -> Interval:
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def _ref_widen(a: Interval, b: Interval) -> Interval:
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    return Interval(a.lo if a.lo <= b.lo else NEG_INF,
+                    a.hi if a.hi >= b.hi else POS_INF)
+
+
+@st.composite
+def interval_pairs(draw) -> tuple[Interval, Interval]:
+    """Two intervals, often related: the same object, an equal copy, one
+    inside or around the other, or unrelated."""
+    a, b = draw(intervals()), draw(intervals())
+    kind = draw(st.sampled_from(["same", "copy", "inside", "around",
+                                 "fresh"]))
+    if kind == "same":
+        b = a
+    elif kind == "copy":
+        b = Interval(a.lo, a.hi, a.is_bottom)
+    elif kind == "inside":
+        b = a.meet(b)
+    elif kind == "around":
+        b = _ref_join(a, b)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def _plain(env: AbstractEnv):
+    """An env's exact content: None for bottom, else a copy of its map."""
+    return None if env.is_bottom else dict(env._map)
+
+
+def _ref_env(op, e1: AbstractEnv, e2: AbstractEnv):
+    """The exact content of an env operation applied per variable with a
+    reference interval operation: a variable mapped on one side is Top."""
+    if e1.is_bottom:
+        return _plain(e2)
+    if e2.is_bottom:
+        return _plain(e1)
+    a, b = e1._map, e2._map
+    return {v: op(a[v], b[v]) if v in a and v in b else Interval.top()
+            for v in a.keys() | b.keys()}
+
+
+@st.composite
+def env_pairs(draw) -> tuple[AbstractEnv, AbstractEnv]:
+    """Two sparse envs: unrelated half the time, else the same object, a
+    copy, the first with one variable set, or the first joined with another
+    env."""
+    e1, e2 = draw(sparse_environments()), draw(sparse_environments())
+    if draw(st.booleans()):
+        return e1, e2
+    kind = draw(st.sampled_from(["same", "copy", "set", "around"]))
+    if kind == "same":
+        e2 = e1
+    elif kind == "copy":
+        e2 = AbstractEnv(_plain(e1), is_bottom=e1.is_bottom)
+    elif kind == "set":
+        e2 = e1.set(draw(st.sampled_from(VARS)), draw(intervals()))
+    elif kind == "around":
+        e2 = e1.join(e2)
+    return (e2, e1) if draw(st.booleans()) else (e1, e2)
+
+
+@MANY
+@given(interval_pairs())
+def test_interval_operations_return_operands_equal_to_reference(pair):
+    a, b = pair
+    for op, ref in ((Interval.join, _ref_join), (Interval.widen, _ref_widen)):
+        r, expected = op(a, b), ref(a, b)
+        assert r == expected, (op, a, b)
+        if expected == a:
+            assert r is a, (op, a, b)
+        elif expected == b:
+            assert r is b, (op, a, b)
+    if a.widen(b).is_top() and not a.is_top() and not b.is_top():
+        assert a.widen(b) is Interval.top()
+    # the identity that lets analyze_thread widen in one pass
+    assert a.widen(b) == a.widen(a.join(b))
+
+
+@MANY
+@given(env_pairs())
+def test_env_operations_equal_pointwise_reference(pair):
+    e1, e2 = pair
+    assert _reads(e1.join(e2)) == _pointwise(Interval.join, e1, e2)
+    assert _reads(e1.widen(e2)) == _pointwise(Interval.widen, e1, e2)
+    assert e1.leq(e2) == all(_pointwise(Interval.leq, e1, e2).values())
+    assert (e1 == e2) == (_reads(e1) == _reads(e2))
+    if not (e1.is_bottom or e2.is_bottom):
+        keys = set(e1.variables()) | set(e2.variables())
+        assert set(e1.join(e2).variables()) == keys
+        assert set(e1.widen(e2).variables()) == keys
+    # exact maps, whether or not the result is an operand
+    for op, ref in ((AbstractEnv.join, _ref_join),
+                    (AbstractEnv.widen, _ref_widen)):
+        r = op(e1, e2)
+        assert _plain(r) == _ref_env(ref, e1, e2), (op, e1, e2)
+        if e1 is e2 or e2.is_bottom:
+            assert r is e1
+        elif e1.is_bottom:
+            assert r is e2
+    # the identity that lets analyze_thread widen in one pointwise pass,
+    # bottom and variables mapped on one side only included
+    assert _plain(e1.widen(e2)) == _plain(e1.widen(e1.join(e2)))
+
+
+@MANY
+@given(sparse_environments(), st.sampled_from(VARS), intervals(),
+       st.booleans())
+def test_env_set_equals_reference(env, var, value, reuse):
+    if reuse:
+        value = env.get(var)
+    r = env.set(var, value)
+    if env.is_bottom or value.is_bottom:
+        assert r.is_bottom
+    else:
+        assert _plain(r) == {**env._map, var: value}
+        assert (r is env) == (env._map.get(var) is value)
+
+
+@MANY
+@given(env_pairs(), _instrs, _conds, st.sampled_from(VARS), intervals())
+def test_operations_leave_operands_unchanged(pair, instr, cond, var, value):
+    e1, e2 = pair
+    operands = [(e, _plain(e)) for e in (e1, e2)]
+    results = [e1.join(e2), e2.join(e1), e1.widen(e2), e2.widen(e1),
+               e1.set(var, value), e1.set(var, e1.get(var)),
+               transfer(instr, e1), transfer(instr, e2),
+               refine(cond, e1), refine(negate(cond), e2)]
+    assert all(_plain(e) == snap for e, snap in operands)
+    # results alias operands, so operating on a result must not write
+    # through to an operand or to another result either
+    everything = operands + [(r, _plain(r)) for r in results]
+    for r in results:
+        r.join(e1).widen(e2)
+        e1.widen(r).join(r)
+        refine(cond, transfer(instr, r.set(var, value)))
+    assert all(_plain(e) == snap for e, snap in everything)
+
+
+_small_finite = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(
+    lambda t: Interval(min(t), max(t)))
+_HOLDS = {"==": lambda l, r: l == r, "!=": lambda l, r: l != r,
+          "<": lambda l, r: l < r, "<=": lambda l, r: l <= r,
+          ">": lambda l, r: l > r, ">=": lambda l, r: l >= r}
+
+
+@MANY
+@given(st.sampled_from(sorted(_HOLDS)), _small_finite, _small_finite)
+def test_comparison_may_hold_equals_brute_force(op, left, right):
+    # refinement returns bottom exactly when no pair of values satisfies op
+    assert _may_hold(op, left, right) == any(
+        _HOLDS[op](l, r) for l in range(left.lo, left.hi + 1)
+        for r in range(right.lo, right.hi + 1))
 
 
 # ---------------------------------------------------------------------------
