@@ -19,7 +19,9 @@ engine are pruned.  Each surviving combination is re-analyzed with
 combination-conditional environments — every load takes exactly its chosen
 store's value, iterated across threads starting from the bootstrap
 result — and assertions are judged on the environments of the surviving
-combinations only.
+combinations only.  Each thread result is taken once, as it arrives: it is
+joined into the env map and its thread's asserts are judged on it, so an
+ALARM's witness is the first combination with a result that fails it.
 
 Combinations are enumerated per interference component, not as one global
 product (`interference_components`): threads share a component when a load
@@ -32,8 +34,8 @@ per-thread stats as the product whenever every component has a feasible
 combination; a witness is the product's witness restricted to its own
 component's loads.  The cap applies per component: an overflowing component
 takes the bootstrap result, and its threads with enumerable loads are
-marked `overflowed`.  Threads in no component with an enumerable load run
-once, with no feasibility query.
+marked `overflowed`.  A component with no enumerable load has one empty
+combination: its threads run once, against the loop loads' joined values.
 
 Thread runs are memoized per analysis (`ThreadRuns`): a thread's fixpoint
 depends only on the intervals its own loads read from other threads, so the
@@ -43,6 +45,7 @@ whose inputs did not change is not analyzed again.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -276,22 +279,23 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                        ctx: FeasibilityContext,
                        candidates: dict[int, list[int]],
                        runs: ThreadRuns,
-                       live: dict[int, list[int]],
                        ) -> tuple[dict[int, AbstractEnv],
-                                  dict[int, AbstractEnv], int]:
+                                  dict[int, AbstractEnv], int,
+                                  dict[int, Interval]]:
     """Global fixpoint with every load joining all its candidates' values.
     The only cross-thread state is the store post-environments: each round
-    runs every thread through `runs` against the loads' joined values and
-    accumulates the store posts.  Once a round leaves them unchanged, every
-    thread was run with loads covering every store value it can read, so
-    that round's runs are the fixpoint.  `live` is `loop_fallback_env`'s
-    per-analysis record of the candidates not refuted outright.  Returns
-    (the last round's env map over all nodes, store post-environments,
-    rounds)."""
+    computes every load's joined value from them (`loop_fallback_env`),
+    runs every thread through `runs` against those values and accumulates
+    the store posts.  Once a round leaves them unchanged, every thread was
+    run with loads covering every store value it can read, so that round's
+    runs are the fixpoint.  Returns (the last round's env map over all
+    nodes, store post-environments, rounds, the last round's joined value
+    per load), the joined values being those of the returned store envs."""
     init_nodes = set(program.init_stores.values())
     store_nodes = sorted(s for s in relstore.store_var if s not in init_nodes)
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                           for n in store_nodes}
+    live: dict[int, list[int]] = {}   # see `loop_fallback_env`
     for round_no in range(1, _MAX_ROUNDS + 1):
         joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
                                        store_envs, ctx, live)
@@ -305,7 +309,7 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
             if round_no >= _WIDEN_ROUND:
                 new_envs[s] = store_envs[s].widen(new_envs[s])
         if new_envs == store_envs:
-            return env_map, store_envs, round_no
+            return env_map, store_envs, round_no, joined
         store_envs = new_envs
     raise AnalysisError("bootstrap fixpoint did not stabilize")
 
@@ -349,34 +353,34 @@ def analyze_all(program: Program, model: MemoryModel,
     stats = AnalysisStats(
         threads=len(program.threads),
         nodes=sum(len(g.nodes) for g in program.threads.values()))
-    asserts = {name: [n for n, instr in g.nodes.items()
-                      if isinstance(instr, Assert)]
-               for name, g in program.threads.items()}
 
     candidates = collect_candidates(program, relstore)
-    live: dict[int, list[int]] = {}
-    boot_map, store_envs, rounds = bootstrap_fixpoint(
-        program, relstore, ctx, candidates, runs, live)
-    stats.outer_rounds = rounds
-
+    boot_map, store_envs, stats.outer_rounds, joined = bootstrap_fixpoint(
+        program, relstore, ctx, candidates, runs)
     loop_nodes = {n for g in program.threads.values() for n in g.loop_nodes}
-    joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                   store_envs, ctx, live)
-              for l, stores in candidates.items() if l in loop_nodes}
+    joined = {l: v for l, v in joined.items() if l in loop_nodes}
 
     env_map: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                        for n in boot_map}
-    # the `runs` results joined into env_map, by id; holding them keeps
-    # each id unique even when `runs` does not (the memo does)
-    absorbed: dict[int, dict[int, AbstractEnv]] = {}
+    alarms: dict[int, tuple] = {}   # assert node -> witness of its ALARM
+    # the (thread, result) pairs taken, by id; holding each result keeps
+    # its id unique even when `runs` does not (the memo does)
+    taken: dict[tuple[str, int], dict[int, AbstractEnv]] = {}
 
-    def absorb(post: dict[int, AbstractEnv]) -> None:
-        if id(post) not in absorbed:
-            absorbed[id(post)] = post
-            for n, env in post.items():
-                env_map[n] = env_map[n].join(env)
+    def take(graph: FlowGraph, post: dict[int, AbstractEnv],
+             witness: tuple) -> None:
+        """Join one thread's result into env_map and judge its asserts;
+        a result already taken for that thread adds nothing, so the first
+        witness under which an assert may fail is the one reported."""
+        if (graph.thread, id(post)) in taken:
+            return
+        taken[graph.thread, id(post)] = post
+        for n, instr in graph.nodes.items():
+            env_map[n] = env_map[n].join(post[n])
+            if (isinstance(instr, Assert) and n not in alarms
+                    and may_be_false(instr.cond, post[n])):
+                alarms[n] = witness
 
-    assert_runs: dict[int, list] = {}
     per_thread: dict[str, ThreadStats] = {}
     for names in interference_components(program, relstore, candidates):
         graphs = [program.threads[name] for name in names]
@@ -386,71 +390,40 @@ def analyze_all(program: Program, model: MemoryModel,
                         for g in graphs}
         loads = {l: candidates[l] for g in graphs
                  for l in thread_loads[g.thread]}
-        if not loads:
-            for g in graphs:
-                post = runs.run(g, {}, joined)
-                absorb(post)
-                for n in asserts[g.thread]:
-                    assert_runs[n] = [((), post[n])]
-                per_thread[g.thread] = ThreadStats(combinations_enumerated=1)
-            continue
-        combos, overflow = enumerate_combinations(loads, cap)
+        # a component with no enumerable load is one empty combination
+        combos, overflow = (enumerate_combinations(loads, cap) if loads
+                            else ([{}], False))
         if overflow:
             for g in graphs:
                 per_thread[g.thread] = ThreadStats(
                     overflowed=bool(thread_loads[g.thread]))
-                for n in g.nodes:
-                    env_map[n] = boot_map[n]
-                for n in asserts[g.thread]:
-                    assert_runs[n] = [((), boot_map[n])]
+                take(g, boot_map, ())
             continue
         comp_envs = {s: store_envs[s] for g in graphs for s in g.nodes
                      if s in store_envs}
-        seen_proj: dict[str, set] = {name: set() for name in names}
         feasible_proj: dict[str, set] = {name: set() for name in names}
         for sigma in combos:
-            for name in names:
-                seen_proj[name].add(
-                    tuple(sigma[l] for l in thread_loads[name]))
             if not ctx.check_facts(ctx.facts_for(sigma)):
                 continue
-            for name in names:
-                feasible_proj[name].add(
-                    tuple(sigma[l] for l in thread_loads[name]))
             posts = _run_combination(graphs, relstore, sigma, comp_envs,
                                      joined, runs)
             witness = tuple(sorted(sigma.items()))
-            for name, post in posts.items():
-                absorb(post)
-                for n in asserts[name]:
-                    assert_runs.setdefault(n, []).append((witness, post[n]))
+            for g in graphs:
+                feasible_proj[g.thread].add(
+                    tuple(sigma[l] for l in thread_loads[g.thread]))
+                take(g, posts[g.thread], witness)
         for name in names:
+            # the combinations are a full product: every projection occurs
+            total = math.prod(len(loads[l]) + 1 for l in thread_loads[name])
             per_thread[name] = ThreadStats(
-                combinations_enumerated=len(seen_proj[name]),
-                combinations_pruned=(len(seen_proj[name])
-                                     - len(feasible_proj[name])))
+                combinations_enumerated=total,
+                combinations_pruned=total - len(feasible_proj[name]))
 
     stats.per_thread = {name: per_thread[name] for name in program.threads}
-    verdicts = _verdicts(program, model, assert_runs)
+    verdicts = sorted(
+        (Verdict(n, instr.location, model,
+                 "ALARM" if n in alarms else "PROVED", alarms.get(n, ()))
+         for g in program.threads.values()
+         for n, instr in g.nodes.items() if isinstance(instr, Assert)),
+        key=lambda v: v.node)
     return env_map, verdicts, stats
-
-
-def _verdicts(program: Program, model: MemoryModel,
-              assert_runs: dict[int, list]) -> list[Verdict]:
-    verdicts = []
-    for name in program.threads:
-        g = program.threads[name]
-        for n in sorted(g.nodes):
-            instr = g.nodes[n]
-            if not isinstance(instr, Assert):
-                continue
-            status, witness = "PROVED", ()
-            for w, env in assert_runs.get(n, []):
-                if may_be_false(instr.cond, env):
-                    status = "ALARM"
-                    witness = tuple(w)
-                    break
-            verdicts.append(Verdict(n, instr.location, model, status,
-                                    witness))
-    verdicts.sort(key=lambda v: v.node)
-    return verdicts

@@ -4,8 +4,9 @@ A program is a set of flow graphs, one per thread, plus a virtual root
 thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
-A flow graph builds its adjacency lists and loop nodes once, and
-`FlowGraph.reach` is the one reachability routine of the package.
+A flow graph builds its adjacency lists, reachability closure and loop
+nodes once, and `FlowGraph.reach` is the one reachability routine of the
+package.
 """
 from __future__ import annotations
 
@@ -231,8 +232,9 @@ Instruction = (
 
 @dataclass
 class FlowGraph:
-    """One thread's flow graph.  Adjacency and loop nodes are built on first
-    use and never rebuilt, so nodes and edges are fixed from then on."""
+    """One thread's flow graph.  Adjacency, reachability and loop nodes are
+    built on first use and never rebuilt, so nodes and edges are fixed from
+    then on."""
     thread: str
     nodes: dict[int, Instruction]
     entry: int
@@ -267,9 +269,14 @@ class FlowGraph:
         return seen
 
     @cached_property
+    def reachable(self) -> dict[int, frozenset[int]]:
+        """`reach` of every node, computed once."""
+        return {n: frozenset(self.reach(n)) for n in self.nodes}
+
+    @cached_property
     def loop_nodes(self) -> frozenset[int]:
         """Nodes lying on some cycle (self-reachable through >=1 edge)."""
-        return frozenset(n for n in self.nodes if n in self.reach(n))
+        return frozenset(n for n, r in self.reachable.items() if n in r)
 
 
 @dataclass

@@ -111,8 +111,9 @@ def compute_dominates(graph: FlowGraph) -> set[tuple[int, int]]:
 def compute_not_reachable_from(graph: FlowGraph) -> set[tuple[int, int]]:
     """(s1,s2) iff there is no directed path from s2 to s1."""
     nodes = sorted(graph.nodes)
-    reach = {n: graph.reach(n) | {n} for n in nodes}
-    return {(s1, s2) for s2 in nodes for s1 in nodes if s1 not in reach[s2]}
+    reach = graph.reachable
+    return {(s1, s2) for s2 in nodes for s1 in nodes
+            if s1 != s2 and s1 not in reach[s2]}
 
 
 def compute_thread_edges(program: Program) -> tuple[set[tuple[int, int]],

@@ -131,19 +131,20 @@ thread t3 { local b = x; }
 
 def _bootstrap_closure(prog, model):
     """Bootstrap one program, then check that its store envs are closed:
-    fresh runs against the loads' values recomputed from the returned
-    store envs give back the returned env map, and every store's post is
-    within its store env.  Returns the store envs."""
+    the loads' values recomputed from the returned store envs equal the
+    returned joined values, fresh runs against them give back the returned
+    env map, and every store's post is within its store env.  Returns the
+    store envs."""
     relstore = extract_all(prog)
     ctx = FeasibilityContext(prog, model, relstore)
     candidates = collect_candidates(prog, relstore)
-    env_map, store_envs, _ = bootstrap_fixpoint(
-        prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)),
-        {})
+    env_map, store_envs, _, boot_joined = bootstrap_fixpoint(
+        prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)))
     # a fresh record of the surviving candidates: decided anew, not reused
     joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
                                    store_envs, ctx, {})
               for l, stores in candidates.items()}
+    assert boot_joined == joined
     for graph in prog.threads.values():
         post = analyze_thread(graph, initial_env(prog), {}, joined)
         for n in graph.nodes:
@@ -371,12 +372,8 @@ def _assert_fixpoints_exact(prog, model, monkeypatch, label):
     ctx = FeasibilityContext(prog, model, relstore)
     candidates = collect_candidates(prog, relstore)
     init = initial_env(prog)
-    live: dict[int, list[int]] = {}
-    _, store_envs, _ = bootstrap_fixpoint(
-        prog, relstore, ctx, candidates, ThreadRuns(prog, init), live)
-    joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                   store_envs, ctx, live)
-              for l, stores in candidates.items()}
+    _, _, _, joined = bootstrap_fixpoint(
+        prog, relstore, ctx, candidates, ThreadRuns(prog, init))
     calls: Counter = Counter()
     total: Counter = Counter()
     transfer, widen = analysis.transfer, AbstractEnv.widen

@@ -4,17 +4,19 @@ that per-component enumeration gives (mp-pairs past the old cap)."""
 from __future__ import annotations
 
 import functools
+import math
 
 import pytest
 
 from relaxcheck import analysis
 from relaxcheck.analysis import (
-    analyze_all, collect_candidates, enumerate_combinations,
-    interference_components,
+    ThreadRuns, analyze_all, bootstrap_fixpoint, collect_candidates,
+    enumerate_combinations, initial_env, interference_components,
 )
+from relaxcheck.domain import may_be_false
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
-from relaxcheck.ir import EPILOGUE_THREAD, ROOT_THREAD
+from relaxcheck.ir import Assert, EPILOGUE_THREAD, ROOT_THREAD
 from relaxcheck.relations import extract_all
 
 from conftest import CORPUS_FILES, MODELS, analyzer_result, corpus_program
@@ -304,6 +306,53 @@ def test_cap_overflows_only_the_large_component():
     _, full, full_stats = analyze_all(prog, TSO)
     assert not any(s.overflowed for s in full_stats.per_thread.values())
     assert [v.status for v in full] == [v.status for v in verdicts]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4, 16])
+def test_cap_partitions_threads_on_corpus(cap):
+    # a thread with a non-loop load in a component over the cap overflows
+    # and takes the bootstrap result; every other thread keeps the default
+    # cap's env maps, verdicts and witnesses
+    overflows = 0
+    for name in CORPUS_FILES:
+        prog = corpus_program(name)
+        relstore = extract_all(prog)
+        candidates = collect_candidates(prog, relstore)
+        loops = {n for g in prog.threads.values() for n in g.loop_nodes}
+        over = set()
+        for names in interference_components(prog, relstore, candidates):
+            loads = {t: [l for l in prog.threads[t].nodes
+                         if l in candidates and l not in loops]
+                     for t in names}
+            if math.prod(len(candidates[l]) + 1 for t in names
+                         for l in loads[t]) > cap:
+                over |= {t for t in names if loads[t]}
+        for model in MODELS:
+            tag = (name, model, cap)
+            env_map, verdicts, stats = analyze_all(prog, model, cap)
+            d_map, d_verdicts, _ = analyzer_result(name, model)
+            boot_map = bootstrap_fixpoint(
+                prog, relstore, FeasibilityContext(prog, model, relstore),
+                candidates, ThreadRuns(prog, initial_env(prog)))[0]
+            assert {t for t, s in stats.per_thread.items()
+                    if s.overflowed} == over, tag
+            overflows += len(over)
+            verdict_of = {v.node: v for v in verdicts}
+            d_verdict_of = {v.node: v for v in d_verdicts}
+            for t, g in prog.threads.items():
+                for n, instr in g.nodes.items():
+                    if t not in over:
+                        assert env_map[n] == d_map[n], (tag, n)
+                        if isinstance(instr, Assert):
+                            assert verdict_of[n] == d_verdict_of[n], (tag, n)
+                        continue
+                    assert env_map[n] == boot_map[n], (tag, n)
+                    if isinstance(instr, Assert):
+                        alarm = may_be_false(instr.cond, boot_map[n])
+                        assert verdict_of[n].status == (
+                            "ALARM" if alarm else "PROVED"), (tag, n)
+                        assert verdict_of[n].witness == (), (tag, n)
+    assert overflows, cap
 
 
 def test_mp_pairs_combinations_grow_linearly(monkeypatch):
