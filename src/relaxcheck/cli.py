@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Exit status: 0 = all asserts proved; 1 = at least one alarm; 2 = usage or
-parse error, including input nested too deeply; 3 = internal error: a
-failed invariant or a bug in the analysis, --emit-relations or --oracle
-(reported in one line, never as a traceback), or (--oracle) a soundness
-disagreement with the oracle.
+parse error, including unreadable or non-UTF-8 input, input nested too
+deeply and thread creation cycles; 3 = internal error: a failed invariant
+or a bug in lowering, the analysis, --emit-relations or --oracle (reported
+in one line, never as a traceback), or (--oracle) a soundness disagreement
+with the oracle.
 """
 from __future__ import annotations
 
@@ -57,12 +58,19 @@ def run(argv: list[str]) -> int:
         print(f"error: cannot read {args.input}: {e.strerror}",
               file=sys.stderr)
         return 2
+    except UnicodeDecodeError as e:
+        print(f"error: cannot read {args.input}: not UTF-8 text "
+              f"(byte {e.start})", file=sys.stderr)
+        return 2
     try:
         ast = parse(text)
-        program = lower(ast)
     except ParseError as e:
         print(f"{args.input}:{e}", file=sys.stderr)
         return 2
+    try:
+        program = lower(ast)
+    except Exception as e:  # a bug in lowering: never exit 1 (ALARM)
+        return _internal_error(e)
     if args.max_combinations < 1:
         print("error: --max-combinations must be positive", file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ Given a memory model, the engine derives which same-thread instruction pairs
 can never be reordered (NoReorder), then decides the paper's rules (1)-(6):
 a must-happen-before relation (MHB) and a refuted-data-flow relation
 (MustNotReadFrom), used to reject interference combinations that cannot
-occur in any concrete execution.  `datalog.py` states the rules as Datalog;
+occur in any concrete execution.  `datalog.py` transcribes the rules as a
+least fixpoint over sets, the specification the tests hold this module to;
 this module evaluates them with a closure over bitsets instead.
 
 MHB is kept transitively closed as one row per node, in sorted node-id

@@ -303,6 +303,7 @@ class _Parser:
         if self.peek().kind != "eof":
             self.error(f"unexpected {self.peek().text!r}")
         self._check_thread_targets(threads)
+        self._check_creation_acyclic(threads)
         return SourceProgram(model, decls, threads, epilogue)
 
     def _int_literal(self) -> int:
@@ -428,6 +429,16 @@ class _Parser:
                         and s.target not in names):
                     raise ParseError(f"unknown thread {s.target!r}",
                                      s.line, s.col)
+
+    def _check_creation_acyclic(self, threads: list[ThreadBlock]) -> None:
+        """Reject a thread that creates itself, directly or through the
+        threads it creates, at the create statement closing the cycle."""
+        closing = ir.creation_cycle({
+            t.name: [(s.target, s) for s in _nested_stmts(t.stmts)
+                     if isinstance(s, CreateStmt)] for t in threads})
+        if closing is not None:
+            raise ParseError(f"thread creation cycle through "
+                             f"{closing.target!r}", closing.line, closing.col)
 
     # -- expressions ------------------------------------------------------
     def expr(self) -> Expr:

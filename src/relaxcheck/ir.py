@@ -10,8 +10,10 @@ package.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TypeVar
 
 ROOT_THREAD = "__root__"
 EPILOGUE_THREAD = "__epilogue__"
@@ -332,7 +334,12 @@ def validate(program: Program) -> list[str]:
                                  f"'{instr.child}'")
     if program.root not in program.threads:
         diags.append(f"root graph '{program.root}' missing")
-    diags.extend(_check_creation_acyclic(program))
+    child = creation_cycle({
+        name: [(i.child, i.child) for i in g.nodes.values()
+               if isinstance(i, ThreadCreate) and i.child in program.threads]
+        for name, g in program.threads.items()})
+    if child is not None:
+        diags.append(f"thread creation cycle involving '{child}'")
     return diags
 
 
@@ -380,27 +387,26 @@ def _check_instr(program: Program, thread: str, n: int,
     return diags
 
 
-def _check_creation_acyclic(program: Program) -> list[str]:
-    creators: dict[str, set[str]] = {t: set() for t in program.threads}
-    for name, g in program.threads.items():
-        for instr in g.nodes.values():
-            if isinstance(instr, ThreadCreate) and instr.child in creators:
-                creators[name].add(instr.child)
-    seen: set[str] = set()
-    stack: set[str] = set()
+T = TypeVar("T")
 
-    def visit(t: str) -> bool:
-        if t in stack:
-            return False
-        if t in seen:
-            return True
-        seen.add(t)
-        stack.add(t)
-        ok = all(visit(c) for c in sorted(creators[t]))
-        stack.discard(t)
-        return ok
 
-    for t in sorted(program.threads):
-        if not visit(t):
-            return [f"thread creation cycle involving '{t}'"]
-    return []
+def creation_cycle(creates: Mapping[str, Iterable[tuple[str, T]]]
+                   ) -> T | None:
+    """The label of a create edge that closes a thread creation cycle, or
+    None when there is no cycle.  `creates` maps every thread to its
+    (child, label) create edges.  The depth-first search keeps its own
+    stack, so a long creation chain cannot reach the recursion limit."""
+    done: set[str] = set()
+    for root in creates:
+        path, todo = {root: None}, [iter(creates[root])]  # dict: ordered set
+        while todo:
+            child, label = next(todo[-1], (None, None))
+            if child is None:
+                done.add(path.popitem()[0])
+                todo.pop()
+            elif child in path:
+                return label
+            elif child not in done:
+                path[child] = None
+                todo.append(iter(creates[child]))
+    return None

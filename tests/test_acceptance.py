@@ -125,7 +125,7 @@ def test_criterion_7_property_suites_configured():
     assert props.MANY.max_examples >= 200
     suites = [n for n in dir(props) if n.startswith("test_")]
     # lattice laws, transfer monotonicity+soundness, relation inclusion,
-    # datalog monotonicity, dominators, oracle inclusion, verdict
+    # feasibility-rule monotonicity, dominators, oracle inclusion, verdict
     # monotonicity, determinism
     assert len(suites) >= 8
     print(f"criterion 7: PASS ({len(suites)} property suites at "

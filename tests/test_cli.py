@@ -70,6 +70,27 @@ def test_deeply_nested_input_exit_two_without_traceback(tmp_path, body):
     assert "nested deeper than" in proc.stderr
 
 
+def test_non_utf8_input_exit_two(tmp_path, capsys):
+    bad = tmp_path / "utf16.lit"
+    bad.write_bytes(b"\xff\xfe" + "thread t { }".encode("utf-16-le"))
+    code, out, err = _run(capsys, str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: not UTF-8")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "global x;\nthread a { create(a); x = 1; }\n",
+    "global x;\nthread a { create(b); }\nthread b { create(a); }\n",
+], ids=["self", "pair"])
+def test_thread_creation_cycle_exit_two(tmp_path, capsys, text):
+    cyclic = tmp_path / "cyclic.lit"
+    cyclic.write_text(text)
+    code, out, err = _run(capsys, str(cyclic))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{cyclic}:") and "creation cycle" in err
+
+
 def test_unexpected_analysis_exception_exit_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError(7)
@@ -82,6 +103,13 @@ def test_unexpected_analysis_exception_exit_three(capsys, monkeypatch):
 
 def _raise_value_error(*args, **kwargs):
     raise ValueError("broken")
+
+
+def test_lowering_exception_exit_three(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lower", _raise_value_error)
+    code, out, err = _run(capsys, _corpus("seq1.lit"))
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: broken\n"
 
 
 def test_emit_relations_exception_exit_three(capsys, monkeypatch):

@@ -81,6 +81,26 @@ def test_parse_rejects_join_of_unknown_thread():
         parse("global x;\nthread t { join(u); }")
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("global x;\nthread a { create(a); x = 1; }", 2, 12),
+    ("global x;\nthread a { create(b); }\nthread b {\n  create(a);\n}", 4, 3),
+], ids=["self", "pair"])
+def test_parse_rejects_thread_creation_cycle_at_its_create(text, line, col):
+    with pytest.raises(ParseError, match="creation cycle through 'a'") as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+def test_long_thread_creation_chain_lowers():
+    n = 1100  # past the default recursion limit of 1000
+    program, _ = parse_and_lower(
+        "global x;\n"
+        + "".join(f"thread t{i} {{ create(t{i + 1}); }}\n"
+                  for i in range(n - 1))
+        + f"thread t{n - 1} {{ x = 1; }}\n")
+    assert len(program.threads) == n + 1  # and the root
+
+
 _DEEP = MAX_NESTING + 1
 
 

@@ -4,23 +4,25 @@ Covers: interval lattice laws, env operations against a per-variable
 reference, identity-preserving lattice operations (operand results, the
 single widen pass, operands left unchanged), VarId hashing, transfer
 monotonicity and soundness on singletons, per-model relation inclusion
-chains, fact monotonicity of the feasibility engine and of the Datalog
-engine, the bitset feasibility engine against the Datalog rules it
-implements, dominator equivalence against a brute-force oracle, flow-graph adjacency, loop nodes and NotReachableFrom
-against edge-scan references, oracle behavior inclusion, verdict
-monotonicity across models, and run determinism.
+chains, fact monotonicity of the feasibility engine and of the rules'
+specification, the bitset feasibility engine against the rules it
+implements (and four engine mutants the comparison must catch), dominator
+equivalence against a brute-force oracle, flow-graph adjacency, loop nodes
+and NotReachableFrom against edge-scan references, oracle behavior
+inclusion, verdict monotonicity across models, and run determinism.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from relaxcheck import feasibility
 from relaxcheck.analysis import analyze_all
-from relaxcheck.datalog import (
-    Database, atom, rule, solve, spec_mhb, spec_must_not_read_from,
-)
+from relaxcheck.datalog import spec_mhb, spec_must_not_read_from
 from relaxcheck.domain import (
     NEG_INF, POS_INF, AbstractEnv, Interval, _may_hold, negate, refine,
     transfer,
@@ -436,18 +438,10 @@ def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
     return ctx.mhb_pairs(rows), mnrf
 
 
-@functools.lru_cache(maxsize=None)
-def _spec_base_mhb(ctx: FeasibilityContext) -> frozenset:
-    """The Datalog rules' MHB without facts, solved once per context."""
-    return frozenset(spec_mhb(ctx.store, ctx.no_reorder, set()))
-
-
-def _seeds(ctx: FeasibilityContext, rf: frozenset) -> set:
+def _seeds(rf: frozenset) -> set:
     """The store -> load MHB edge of each fact, as check_facts adds it: the
-    same query for the Datalog rules.  The spec's own base MHB rides along:
-    its facts are derivable under any reads-from, so seeding them leaves
-    every least fixpoint unchanged and saves the solver rederiving them."""
-    return {(s, l) for l, s in rf} | _spec_base_mhb(ctx)
+    same query for the rules."""
+    return {(s, l) for l, s in rf}
 
 
 def _spec_witness(mnrf, rf: frozenset):
@@ -492,33 +486,47 @@ def test_datalog_fact_monotonicity_on_deduction(name, model, data):
 # The bitset feasibility engine against the Datalog rules
 # ---------------------------------------------------------------------------
 
-def test_base_mhb_equals_spec_on_corpus():
+def _check_base_mhb() -> None:
+    """Each corpus context's base MHB equals the rules' MHB without facts.
+    The contexts are built afresh, by whatever engine is in place."""
     for name in CORPUS_FILES:
+        prog, store, _ = _rf_universe(name)
         for model in MODELS:
-            ctx = _context(name, model)
-            assert ctx.base_mhb == _spec_base_mhb(ctx), (name, model)
+            ctx = FeasibilityContext(prog, model, store)
+            assert ctx.base_mhb == spec_mhb(store, ctx.no_reorder, set()), \
+                (name, model)
 
 
-def test_check_facts_equals_spec_on_analyzer_queries(monkeypatch):
-    queries = set()
+def _check_analyzer_queries(monkeypatch) -> None:
+    """Every check_facts query analyze_all makes over corpus x models
+    reports the rules' witness."""
+    queries = {}
     check_facts = FeasibilityContext.check_facts
 
     def recording(ctx, facts):
-        queries.add((ctx, facts))
+        queries[ctx, facts] = None
         return check_facts(ctx, facts)
 
-    monkeypatch.setattr(FeasibilityContext, "check_facts", recording)
-    for name in CORPUS_FILES:
-        for model in MODELS:
-            analyze_all(corpus_program(name), model)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(FeasibilityContext, "check_facts", recording)
+        for name in CORPUS_FILES:
+            for model in MODELS:
+                analyze_all(corpus_program(name), model)
     assert len(queries) > 1000
     for ctx, facts in queries:
         mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(facts),
-                                       _seeds(ctx, facts))
+                                       _seeds(facts))
         result = ctx.check_facts(facts)
         assert result.witness == _spec_witness(mnrf, facts), facts
         assert bool(result) == (result.witness is None)
+
+
+def test_base_mhb_equals_spec_on_corpus():
+    _check_base_mhb()
+
+
+def test_check_facts_equals_spec_on_analyzer_queries(monkeypatch):
+    _check_analyzer_queries(monkeypatch)
 
 
 @MANY
@@ -530,9 +538,9 @@ def test_engine_relations_equal_spec(name, model, data):
     ctx = _context(name, model)
     mhb, mnrf = _engine_relations(ctx, rf)
     assert mhb == spec_mhb(ctx.store, ctx.no_reorder, set(rf),
-                           _seeds(ctx, rf))
+                           _seeds(rf))
     want_mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(rf),
-                                        _seeds(ctx, rf))
+                                        _seeds(rf))
     assert mnrf == want_mnrf
     result = ctx.check_facts(rf)
     assert result.witness == _spec_witness(want_mnrf, rf)
@@ -540,19 +548,63 @@ def test_engine_relations_equal_spec(name, model, data):
 
 
 @MANY
-@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
-       st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=6))
-def test_datalog_closure_fact_monotonicity(edges, extra):
-    rules = [
-        rule(atom("Path", "a", "b"), atom("Edge", "a", "b")),
-        rule(atom("Path", "a", "c"),
-             atom("Path", "a", "b"), atom("Path", "b", "c")),
-    ]
-    small = Database({"Edge": edges})
-    big = Database({"Edge": edges | extra})
-    solve(small, rules)
-    solve(big, rules)
-    assert small.relation("Path") <= big.relation("Path")
+@given(st.sampled_from(CORPUS_FILES), st.sampled_from(MODELS), st.data())
+def test_spec_fact_monotonicity(name, model, data):
+    _, _, pairs = _rf_universe(name)
+    ctx = _context(name, model)
+    rf = frozenset(data.draw(st.sets(st.sampled_from(pairs), max_size=2))
+                   if pairs else ())
+    more = rf | frozenset(data.draw(st.sets(st.sampled_from(pairs),
+                                            max_size=2)) if pairs else ())
+    small = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(rf),
+                                    _seeds(rf))
+    big = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(more),
+                                  _seeds(more))
+    assert small <= big
+
+
+# Four faults planted in the bitset engine, each of which the differentials
+# above must catch.
+def _drop_rule_6(m):
+    must_not_read_from = FeasibilityContext.must_not_read_from
+    m.setattr(FeasibilityContext, "must_not_read_from",
+              lambda ctx, rows, facts, load, source: must_not_read_from(
+                  ctx, rows, frozenset(), load, source))
+
+
+def _skip_rule_4(m):
+    def fact_edges_only(ctx, facts):
+        rows = list(ctx._base_rows)
+        for load, source in facts:
+            feasibility._insert(rows, ctx._bit[source], 1 << ctx._bit[load])
+        return rows
+    m.setattr(FeasibilityContext, "mhb_rows", fact_edges_only)
+
+
+def _insert_into_row_a_only(m):
+    def row_a_only(rows, a, targets):
+        rows[a] |= targets
+        for t in feasibility._bits(targets):
+            rows[a] |= rows[t]
+    m.setattr(feasibility, "_insert", row_a_only)
+
+
+def _drop_join_edges(m):
+    deduce_mhb = feasibility.deduce_mhb
+    m.setattr(feasibility, "deduce_mhb",
+              lambda bit, store, no_reorder: deduce_mhb(
+                  bit, dataclasses.replace(store, thread_joins=set()),
+                  no_reorder))
+
+
+@pytest.mark.parametrize("mutant", [
+    _drop_rule_6, _skip_rule_4, _insert_into_row_a_only, _drop_join_edges,
+], ids=lambda mutant: mutant.__name__.strip("_"))
+def test_spec_differentials_catch_engine_mutants(mutant, monkeypatch):
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError):
+        _check_base_mhb()
+        _check_analyzer_queries(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
