@@ -14,14 +14,19 @@ for every load outside a loop, of a candidate to read from (or no remote
 interference).  Loads on a loop (`FlowGraph.loop_nodes`) are not
 enumerated; they join every candidate not refuted outright.  Because a
 combination fixes a single source per load, its reads-from facts are
-consistent by construction, and combinations refuted by the feasibility
-engine are pruned.  Each surviving combination is re-analyzed with
-combination-conditional environments — every load takes exactly its chosen
-store's value, iterated across threads starting from the bootstrap
-result — and assertions are judged on the environments of the surviving
-combinations only.  Each thread result is taken once, as it arrives: it is
-joined into the env map and its thread's asserts are judged on it, so an
-ALARM's witness is the first combination with a result that fails it.
+consistent by construction.  `enumerate_combinations` searches the choices
+depth first, one load per level in node order, adding each choice's
+reads-from fact to the MHB rows of the choices above it
+(`FeasibilityContext.extend`).  The rules are monotone in the facts, so a
+prefix the feasibility engine refutes is dropped with every combination
+below it; the feasible combinations come out in `itertools.product` order.
+Each feasible combination is re-analyzed with combination-conditional
+environments — every load takes exactly its chosen store's value, iterated
+across threads starting from the bootstrap result — and assertions are
+judged on the environments of the feasible combinations only.  Each thread
+result is taken once, as it arrives: it is joined into the env map and its
+thread's asserts are judged on it, so an ALARM's witness is the first
+combination with a result that fails it.
 
 Combinations are enumerated per interference component, not as one global
 product (`interference_components`): threads share a component when a load
@@ -44,7 +49,6 @@ whose inputs did not change is not analyzed again.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -235,10 +239,17 @@ def interference_components(program: Program, relstore: RelationStore,
     return list(groups.values())
 
 
-def enumerate_combinations(candidates: dict[int, list[int]], cap: int
+def enumerate_combinations(candidates: dict[int, list[int]], cap: int,
+                           ctx: FeasibilityContext
                            ) -> tuple[list[dict[int, int | None]], bool]:
-    """Cartesian product over loads of (no-interference + candidate
-    stores); overflow (empty list, True) when the product exceeds cap."""
+    """The combinations over loads of (no interference + candidate
+    stores) that `ctx` does not refute, in `itertools.product` order;
+    overflow (empty list, True) when the product exceeds cap.
+
+    The search runs depth first over the sorted loads, one reads-from fact
+    per level (`FeasibilityContext.extend`), so a refuted prefix drops its
+    whole subtree and a leaf costs one step.  It keeps its own stack, since
+    a component can have more loads than Python's recursion limit."""
     loads = sorted(candidates)
     total = 1
     for l in loads:
@@ -246,9 +257,19 @@ def enumerate_combinations(candidates: dict[int, list[int]], cap: int
         if total > cap:
             return [], True
     combos = []
-    for picks in itertools.product(*([None] + candidates[l]
-                                     for l in loads)):
-        combos.append(dict(zip(loads, picks)))
+    # (depth, sources picked so far, prefix); children are pushed in
+    # reverse so that they pop in choice order
+    stack = [(0, (), ctx.root())]
+    while stack:
+        depth, picks, prefix = stack.pop()
+        if depth == len(loads):
+            combos.append(dict(zip(loads, picks)))
+            continue
+        load = loads[depth]
+        for source in reversed([None] + candidates[load]):
+            child = ctx.extend(prefix, load, source)
+            if child is not None:
+                stack.append((depth + 1, (*picks, source), child))
     return combos, False
 
 
@@ -391,8 +412,8 @@ def analyze_all(program: Program, model: MemoryModel,
         loads = {l: candidates[l] for g in graphs
                  for l in thread_loads[g.thread]}
         # a component with no enumerable load is one empty combination
-        combos, overflow = (enumerate_combinations(loads, cap) if loads
-                            else ([{}], False))
+        combos, overflow = (enumerate_combinations(loads, cap, ctx)
+                            if loads else ([{}], False))
         if overflow:
             for g in graphs:
                 per_thread[g.thread] = ThreadStats(
@@ -403,8 +424,6 @@ def analyze_all(program: Program, model: MemoryModel,
                      if s in store_envs}
         feasible_proj: dict[str, set] = {name: set() for name in names}
         for sigma in combos:
-            if not ctx.check_facts(ctx.facts_for(sigma)):
-                continue
             posts = _run_combination(graphs, relstore, sigma, comp_envs,
                                      joined, runs)
             witness = tuple(sorted(sigma.items()))

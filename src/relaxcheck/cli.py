@@ -5,12 +5,13 @@ parse error, including unreadable or non-UTF-8 input, input nested too
 deeply and thread creation cycles; 3 = internal error: a failed invariant
 or a bug in lowering, the analysis, --emit-relations or --oracle (reported
 in one line, never as a traceback), or (--oracle) a soundness disagreement
-with the oracle.
+with the oracle.  A reader that closes stdout early changes no exit code.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -88,7 +89,7 @@ def run(argv: list[str]) -> int:
             dump = _relation_dump(program, model)
         except Exception as e:  # a bug: never a traceback
             return _internal_error(e)
-        print(dump)
+        _report(lambda: print(dump))
         return 0
 
     started = time.monotonic()
@@ -125,16 +126,28 @@ def run(argv: list[str]) -> int:
                 annotations[v.node] = "agree"
 
     if args.format == "json":
-        print(json.dumps(_json_report(args.input, model, verdicts, stats,
-                                      wall, annotations, oracle_error),
-                         indent=2, sort_keys=True))
+        _report(lambda: print(json.dumps(
+            _json_report(args.input, model, verdicts, stats, wall,
+                         annotations, oracle_error),
+            indent=2, sort_keys=True)))
     else:
-        _print_text(args.input, model, verdicts, stats, wall, annotations,
-                    oracle_error)
+        _report(lambda: _print_text(args.input, model, verdicts, stats, wall,
+                                    annotations, oracle_error))
 
     if soundness_bug:
         return 3
     return 1 if any(v.status == "ALARM" for v in verdicts) else 0
+
+
+def _report(write) -> None:
+    """Call `write`, which prints to stdout, and flush.  A reader that
+    closes the pipe early (`relax-check prog.lit | head -1`) leaves the
+    exit code to the verdicts: the rest of the output goes to os.devnull."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _internal_error(e: Exception) -> int:

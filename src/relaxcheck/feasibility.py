@@ -12,19 +12,31 @@ MHB is kept transitively closed as one row per node, in sorted node-id
 order: row a is an int whose bit b means MHB(a, b).  Adding the edges
 a -> T keeps the rows closed in one pass, with no Warshall step: a, and
 every row that has bit a, gains T and the rows of T.  The rows under no
-reads-from facts (rules (1)-(3)) are built once per context; a query copies
-them, adds each fact's store -> load edge, applies rule (4) until nothing
-changes, and checks rules (5) and (6) for its own facts only.
+reads-from facts (rules (1)-(3)) are built once per context.  `add_facts`
+closes rows under more facts: it adds each new fact's store -> load edge and
+applies rule (4) until nothing changes.  Both ways of asking use it and
+`must_not_read_from` (rules (5) and (6)):
+
+- `check_facts` decides one fact set from the base rows.
+- `extend` is one step of a depth-first enumeration: it adds a single fact
+  to the rows of a feasible prefix and re-checks rules (5) and (6) for the
+  facts the new one can affect.  The rules are monotone in the facts, so a
+  refuted prefix refutes every set that extends it.
 """
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from .ir import Fence, Load, Program, Store, ThreadCreate, ThreadJoin, VarId
 from .relations import RelationStore, extract_all
+
+
+Fact = tuple[int, int]  # reads-from: (load node, store node)
+#: a depth-first enumeration's state: MHB rows closed under the facts
+Prefix = tuple[list[int], tuple[Fact, ...]]
 
 
 class MemoryModel(enum.Enum):
@@ -65,6 +77,15 @@ def _is_strong(instr) -> bool:
     return isinstance(instr, (Fence, ThreadCreate, ThreadJoin))
 
 
+def _classify(instr, boundary: bool
+              ) -> tuple[str | None, VarId | None, bool]:
+    """(access kind, variable, strong) of a node; the thread's entry and
+    exit count as strong."""
+    kind = _access_kind(instr)
+    var = instr.src if kind == "L" else instr.dst if kind == "S" else None
+    return kind, var, boundary or _is_strong(instr)
+
+
 def compute_no_reorder(model: MemoryModel, store: RelationStore,
                        program: Program) -> set[tuple[int, int]]:
     """Same-thread pairs (s1,s2), s1 program-order-before s2, that no
@@ -72,31 +93,27 @@ def compute_no_reorder(model: MemoryModel, store: RelationStore,
     pairs: set[tuple[int, int]] = set()
     for name in sorted(program.threads):
         g = program.threads[name]
-        nodes = sorted(g.nodes)
-        interesting = [n for n in nodes
-                       if _access_kind(g.nodes[n]) is not None
-                       or _is_strong(g.nodes[n])
-                       or n in (g.entry, g.exit)]
-        for s1 in interesting:
-            for s2 in interesting:
-                if s1 == s2:
-                    continue
-                # s1 must be able to precede s2 in program order
-                if (s2, s1) in store.not_reachable_from:
-                    continue
-                if _base_no_reorder(model, g.nodes[s1], g.nodes[s2],
-                                    s1 in (g.entry, g.exit),
-                                    s2 in (g.entry, g.exit)):
+        interesting = []
+        for n in sorted(g.nodes):
+            c = _classify(g.nodes[n], n in (g.entry, g.exit))
+            if c[0] is not None or c[2]:
+                interesting.append((n, c))
+        for s1, c1 in interesting:
+            # s1 must be able to precede s2 in program order
+            after = g.reachable[s1]
+            for s2, c2 in interesting:
+                if (s2 != s1 and s2 in after
+                        and _base_no_reorder(model, c1, c2)):
                     pairs.add((s1, s2))
     pairs |= _membar_pairs(store)
     return pairs
 
 
-def _base_no_reorder(model: MemoryModel, i1, i2,
-                     s1_boundary: bool, s2_boundary: bool) -> bool:
-    if _is_strong(i1) or _is_strong(i2) or s1_boundary or s2_boundary:
+def _base_no_reorder(model: MemoryModel, c1, c2) -> bool:
+    """Whether the model keeps s1 before s2, from their `_classify`."""
+    (k1, v1, strong1), (k2, v2, strong2) = c1, c2
+    if strong1 or strong2:
         return True
-    k1, k2 = _access_kind(i1), _access_kind(i2)
     if k1 is None or k2 is None:
         return False
     if model is MemoryModel.SC:
@@ -105,8 +122,6 @@ def _base_no_reorder(model: MemoryModel, i1, i2,
         # only store->load pairs may be reordered (incl. same variable,
         # which the store buffer forwards)
         return k1 == "L" or k2 == "S"
-    v1 = i1.src if k1 == "L" else i1.dst
-    v2 = i2.src if k2 == "L" else i2.dst
     if model is MemoryModel.PSO:
         return k1 == "L" or (k1 == "S" and k2 == "S" and v1 == v2)
     # RMO keeps only same-variable pairs, except store->load (forwarding)
@@ -226,55 +241,69 @@ class FeasibilityContext:
                 for a, row in enumerate(rows) for b in _bits(row)}
 
     # -- building reads-from fact sets -------------------------------------
-    def facts_for(self, sources: dict[int, int | None]
-                  ) -> frozenset[tuple[int, int]]:
-        """Reads-from facts of a choice of source per load: the chosen
-        remote store, or for None (no interference) — when the load's
-        sequential value can only be the initial one — the virtual init
-        store."""
-        facts: set[tuple[int, int]] = set()
-        for load_node, source in sources.items():
-            var = self.store.load_var.get(load_node)
-            if var is None:
-                raise ContractViolation(f"node {load_node} is not a load")
-            if source is None:
-                init = self._init_source[load_node]
-                if init is not None:
-                    facts.add((load_node, init))
-                continue
-            if self.store.store_var.get(source) != var:
-                raise ContractViolation(f"store {source} does not write {var}")
-            if self.store.thread_of[source] == self.store.thread_of[load_node]:
-                raise ContractViolation(
-                    f"store {source} is not remote to load {load_node}")
-            facts.add((load_node, source))
-        return frozenset(facts)
+    def fact(self, load: int, source: int | None) -> Fact | None:
+        """The reads-from fact of `load` reading `source`: the chosen remote
+        store, or for None (no interference) — when the load's sequential
+        value can only be the initial one — the virtual init store; None
+        when no fact applies."""
+        var = self.store.load_var.get(load)
+        if var is None:
+            raise ContractViolation(f"node {load} is not a load")
+        if source is None:
+            init = self._init_source[load]
+            return None if init is None else (load, init)
+        if self.store.store_var.get(source) != var:
+            raise ContractViolation(f"store {source} does not write {var}")
+        if self.store.thread_of[source] == self.store.thread_of[load]:
+            raise ContractViolation(
+                f"store {source} is not remote to load {load}")
+        return load, source
+
+    def facts_for(self, sources: dict[int, int | None]) -> frozenset[Fact]:
+        """Reads-from facts of a choice of source per load (see `fact`)."""
+        return frozenset(f for load, source in sources.items()
+                         if (f := self.fact(load, source)) is not None)
 
     # -- deciding the rules ------------------------------------------------
-    def mhb_rows(self, facts: frozenset[tuple[int, int]]) -> list[int]:
-        """The base MHB rows closed under the reads-from facts.  Every fact
-        pairs a load with a store in another thread, which cannot be
-        forwarded from a buffer: the store commits first.  Rule (4) then
-        orders the load before every same-variable store after its source."""
-        bit, rows = self._bit, list(self._base_rows)
-        for load, source in facts:
+    def add_facts(self, rows: Sequence[int], facts: Sequence[Fact],
+                  new: Sequence[Fact]) -> list[int]:
+        """A copy of `rows`, which are closed under the reads-from `facts`,
+        closed under `facts` and `new`.  Every fact pairs a load with a
+        store in another thread, which cannot be forwarded from a buffer:
+        the store commits first.  Rule (4) then orders the load before
+        every same-variable store after its source.  While the rows stay
+        as they were, only the new facts' rule (4) can add an edge."""
+        bit = self._bit
+        load_var, store_var = self.store.load_var, self.store.store_var
+        before, rows = rows, list(rows)
+        for load, source in new:
             _insert(rows, bit[source], 1 << bit[load])
-        flows = [(bit[load], bit[source], self._stores_of[var])
-                 for load, source in facts
-                 if (var := self.store.load_var.get(load)) is not None
-                 and self.store.store_var.get(source) == var]
-        changed = True
-        while changed:
-            changed = False
-            for load, source, same_var in flows:
-                new = rows[source] & same_var & ~rows[load]
-                if new:
-                    _insert(rows, load, new)
-                    changed = True
-        return rows
 
-    def must_not_read_from(self, rows: list[int],
-                           facts: frozenset[tuple[int, int]],
+        def flows(facts):
+            return [(bit[load], bit[source], self._stores_of[var])
+                    for load, source in facts
+                    if (var := load_var.get(load)) is not None
+                    and store_var.get(source) == var]
+
+        every = rows != before
+        pending = flows([*facts, *new] if every else new)
+        while True:
+            changed = False
+            for load, source, same_var in pending:
+                gain = rows[source] & same_var & ~rows[load]
+                if gain:
+                    _insert(rows, load, gain)
+                    changed = True
+            if not changed:
+                return rows
+            if not every:
+                every, pending = True, flows([*facts, *new])
+
+    def mhb_rows(self, facts: Iterable[Fact]) -> list[int]:
+        """The base MHB rows closed under the reads-from facts."""
+        return self.add_facts(self._base_rows, (), tuple(facts))
+
+    def must_not_read_from(self, rows: Sequence[int], facts: Iterable[Fact],
                            load: int, source: int) -> bool:
         """Rules (5) and (6) for one pair, on the rows `mhb_rows(facts)`."""
         var = self.store.load_var.get(load)
@@ -294,8 +323,7 @@ class FeasibilityContext:
                         return True
         return False
 
-    def check_facts(self, facts: frozenset[tuple[int, int]]
-                    ) -> FeasibilityResult:
+    def check_facts(self, facts: frozenset[Fact]) -> FeasibilityResult:
         if facts in self._cache:
             return self._cache[facts]
         rows = self.mhb_rows(facts)
@@ -306,6 +334,35 @@ class FeasibilityContext:
                 break
         self._cache[facts] = result
         return result
+
+    def root(self) -> Prefix:
+        """The prefix of a depth-first enumeration that chose nothing."""
+        return list(self._base_rows), ()
+
+    def extend(self, prefix: Prefix, load: int, source: int | None
+               ) -> Prefix | None:
+        """One step of a depth-first enumeration: the feasible `prefix`
+        (rows closed under its facts, as `root` and `extend` return them)
+        plus the fact of `load` reading `source`, or None when the rules
+        refute the larger fact set, and so every set that contains it.
+
+        With the rows grown, every fact is checked again.  With the rows
+        unchanged, only the new fact can be refuted: an earlier fact (l2, s)
+        refuted by rule (6) through the new fact (l, s) has l -> s2 -> l2
+        for a store s2 to the variable, and s -> l held already, so s -> s2
+        and rule (4) gave l2 -> s2: rule (6) through (l2, s) itself had
+        refuted it before."""
+        rows, facts = prefix
+        fact = self.fact(load, source)
+        if fact is None:
+            return prefix
+        grown = (*facts, fact)
+        new_rows = self.add_facts(rows, facts, (fact,))
+        suspects = (fact,) if new_rows == rows else grown
+        if any(self.must_not_read_from(new_rows, grown, *pair)
+               for pair in suspects):
+            return None
+        return new_rows, grown
 
 
 def check_feasible(program: Program, model: MemoryModel,

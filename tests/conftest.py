@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus discovery and cached analyzer/oracle results.
+"""Shared fixtures: corpus discovery, cached analyzer/oracle results, two
+generated program families and the per-component combination product.
 
 Analyzer and oracle runs are memoized per (program, model) so the property
 suites and the acceptance gate can sample them repeatedly without re-paying
@@ -7,11 +8,13 @@ the fixpoint or the execution enumeration.
 from __future__ import annotations
 
 import functools
+import itertools
 import pathlib
 
 import pytest
 
 from relaxcheck import MemoryModel, analyze_all, parse_and_lower
+from relaxcheck.analysis import collect_candidates, interference_components
 from relaxcheck.oracle import enumerate_executions, violates
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -46,6 +49,55 @@ def oracle_flags(name: str, model: MemoryModel) -> dict[int, bool]:
 @functools.lru_cache(maxsize=None)
 def oracle_behaviors(name: str, model: MemoryModel) -> frozenset:
     return frozenset(enumerate_executions(corpus_program(name), model))
+
+
+def component_loads(prog, relstore):
+    """Per interference component with an enumerable load: its loads and
+    their candidates, as analyze_all enumerates them."""
+    candidates = collect_candidates(prog, relstore)
+    loops = {n for g in prog.threads.values() for n in g.loop_nodes}
+    for names in interference_components(prog, relstore, candidates):
+        loads = {l: candidates[l] for t in names for l in prog.threads[t].nodes
+                 if l in candidates and l not in loops}
+        if loads:
+            yield loads
+
+
+def product(loads) -> list[dict]:
+    """Every combination of the loads' choices (no interference, then each
+    candidate), in itertools.product order over the sorted loads."""
+    order = sorted(loads)
+    return [dict(zip(order, picks))
+            for picks in itertools.product(*([None] + loads[l]
+                                             for l in order))]
+
+
+def mp_text(k: int, fenced: bool = True) -> str:
+    """k independent message-passing pairs; the fences make every assert
+    hold under every model, and without them PSO and RMO violate it."""
+    fence = "  fence;\n" if fenced else ""
+    lines = ["global " + ", ".join(f"d{i} = 0, f{i} = 0" for i in range(k))
+             + ";"]
+    for i in range(k):
+        lines.append(f"thread w{i} {{\n  d{i} = 1;\n{fence}  f{i} = 1;\n}}")
+        lines.append(f"thread r{i} {{\n  local seen = f{i};\n{fence}"
+                     f"  local got = d{i};\n"
+                     f"  if (seen == 1) {{\n    assert(got == 1);\n  }}\n}}")
+    return "\n".join(lines) + "\n"
+
+
+def ring_text(k: int) -> str:
+    """A k-thread store-buffering ring: each thread stores its own
+    variable, fences, then loads the next two threads' variables and
+    asserts that one of them was already stored.  Every thread reads from
+    the others, so the ring is one component of 4^k combinations."""
+    lines = ["global " + ", ".join(f"x{i} = 0" for i in range(k)) + ";"]
+    for i in range(k):
+        a, b = (i + 1) % k, (i + 2) % k
+        lines.append(f"thread t{i} {{\n  x{i} = 1;\n  fence;\n"
+                     f"  local a = x{a};\n  local b = x{b};\n"
+                     f"  assert(a == 1 || b == 1);\n}}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

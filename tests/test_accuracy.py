@@ -20,10 +20,14 @@ from conftest import CORPUS_FILES, MODELS, corpus_program, oracle_flags
 
 
 class _NoPruning(FeasibilityContext):
-    """Every reads-from fact set is feasible."""
+    """Every reads-from fact set is feasible, asked whole or built up one
+    fact at a time by the enumeration."""
 
     def check_facts(self, facts):
         return FeasibilityResult(True)
+
+    def extend(self, prefix, load, source):
+        return prefix
 
 
 class _SCPruning(FeasibilityContext):

@@ -52,8 +52,20 @@ def test_single_thread_same_under_every_model():
 # Combination enumeration
 # ---------------------------------------------------------------------------
 
+class _Unpruned:
+    """A feasibility context that refutes no prefix: the enumeration is the
+    whole product."""
+
+    def root(self):
+        return ()
+
+    def extend(self, prefix, load, source):
+        return prefix
+
+
 def test_enumerate_combinations_counts():
-    combos, overflow = enumerate_combinations({1: [10], 2: [20]}, cap=100)
+    combos, overflow = enumerate_combinations({1: [10], 2: [20]}, cap=100,
+                                              ctx=_Unpruned())
     assert not overflow
     assert len(combos) == 4
     assert {1: None, 2: None} in combos
@@ -61,13 +73,14 @@ def test_enumerate_combinations_counts():
 
 
 def test_enumerate_combinations_no_loads():
-    combos, overflow = enumerate_combinations({}, cap=10)
+    combos, overflow = enumerate_combinations({}, cap=10, ctx=_Unpruned())
     assert combos == [{}] and not overflow
 
 
 def test_enumerate_combinations_overflow():
     candidates = {i: [100 + i] for i in range(13)}  # 2^13 > 4096
-    combos, overflow = enumerate_combinations(candidates, cap=4096)
+    combos, overflow = enumerate_combinations(candidates, cap=4096,
+                                              ctx=_Unpruned())
     assert overflow and combos == []
 
 

@@ -13,6 +13,8 @@ import pytest
 import relaxcheck
 from relaxcheck import analysis, cli, oracle
 from relaxcheck.cli import run
+from relaxcheck.frontend import parse_and_lower
+from relaxcheck.relations import extract_all
 
 from conftest import CORPUS
 
@@ -68,6 +70,29 @@ def test_deeply_nested_input_exit_two_without_traceback(tmp_path, body):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "nested deeper than" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--model", "tso", "fig2_fence.lit"], 0),
+    (["--model", "tso", "fig1_nofence.lit"], 1),
+    (["--emit-relations", "fig2_fence.lit"], 0),
+], ids=["proved", "alarm", "emit-relations"])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # a reader that exits early (`relax-check prog.lit | head -1`) must not
+    # turn the verdict into a traceback and exit 1 (ALARM)
+    src = pathlib.Path(relaxcheck.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaxcheck.cli", *argv[:-1],
+             _corpus(argv[-1])],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert proc.stderr == ""
 
 
 def test_non_utf8_input_exit_two(tmp_path, capsys):
@@ -157,6 +182,38 @@ def test_flag_overrides_directive(tmp_path, capsys):
                  "assert(x >= 0);\n")
     code, out, _ = _run(capsys, "--model", "sc", str(f))
     assert code == 0 and "under SC" in out
+
+
+def _chain_text(threads: int, loads: int) -> str:
+    """A thread-creation chain (t0 creates t1, ...) whose threads each
+    load their own global `loads` times; no load has a candidate store."""
+    lines = ["global " + ", ".join(f"g{i} = 0" for i in range(threads)) + ";"]
+    for i in range(threads):
+        body = ["local a = 0;"] + [f"a = g{i};"] * loads
+        if i + 1 < threads:
+            body.append(f"create(t{i + 1});")
+        body.append("assert(a == 0);")
+        lines.append(f"thread t{i} {{ " + " ".join(body) + " }")
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_component_exit_zero(tmp_path, capsys):
+    # one interference component of 1,500 loads: the enumeration goes
+    # 1,500 levels deep, past Python's default recursion limit
+    text = _chain_text(30, 50)
+    program, _ = parse_and_lower(text)
+    relstore = extract_all(program)
+    candidates = analysis.collect_candidates(program, relstore)
+    deepest = max(sum(l in candidates for t in names
+                      for l in program.threads[t].nodes)
+                  for names in analysis.interference_components(
+                      program, relstore, candidates))
+    assert deepest == 1500 > sys.getrecursionlimit()
+    path = tmp_path / "chain.lit"
+    path.write_text(text)
+    code, out, err = _run(capsys, str(path))
+    assert code == 0 and err == ""
+    assert out.count(": PROVED under SC") == 30
 
 
 def test_stats_block_present(capsys):

@@ -11,7 +11,7 @@ import pytest
 from relaxcheck import analysis
 from relaxcheck.analysis import (
     ThreadRuns, analyze_all, bootstrap_fixpoint, collect_candidates,
-    enumerate_combinations, initial_env, interference_components,
+    initial_env, interference_components,
 )
 from relaxcheck.domain import may_be_false
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
@@ -19,23 +19,12 @@ from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Assert, EPILOGUE_THREAD, ROOT_THREAD
 from relaxcheck.relations import extract_all
 
-from conftest import CORPUS_FILES, MODELS, analyzer_result, corpus_program
+from conftest import (
+    CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
+    mp_text, product,
+)
 
 TSO = MemoryModel.TSO
-
-
-def mp_text(k: int, fenced: bool = True) -> str:
-    """k independent message-passing pairs; the fences make every assert
-    hold under every model, and without them PSO and RMO violate it."""
-    fence = "  fence;\n" if fenced else ""
-    lines = ["global " + ", ".join(f"d{i} = 0, f{i} = 0" for i in range(k))
-             + ";"]
-    for i in range(k):
-        lines.append(f"thread w{i} {{\n  d{i} = 1;\n{fence}  f{i} = 1;\n}}")
-        lines.append(f"thread r{i} {{\n  local seen = f{i};\n{fence}"
-                     f"  local got = d{i};\n"
-                     f"  if (seen == 1) {{\n    assert(got == 1);\n  }}\n}}")
-    return "\n".join(lines) + "\n"
 
 
 # `main` creates and joins `w`, which only reads `z` from `v`: the create/join
@@ -257,20 +246,11 @@ def test_feasible_facts_of_different_components_stay_feasible(name, text,
                                                               models):
     prog = program(text)
     relstore = extract_all(prog)
-    candidates = collect_candidates(prog, relstore)
-    loops = {n for g in prog.threads.values() for n in g.loop_nodes}
     for model in models:
         ctx = FeasibilityContext(prog, model, relstore)
         accepted = []
-        for names in interference_components(prog, relstore, candidates):
-            loads = {l: candidates[l] for t in names
-                     for l in prog.threads[t].nodes
-                     if l in candidates and l not in loops}
-            if not loads:
-                continue
-            combos, overflow = enumerate_combinations(loads, 4096)
-            assert not overflow
-            facts = [ctx.facts_for(sigma) for sigma in combos]
+        for loads in component_loads(prog, relstore):
+            facts = [ctx.facts_for(sigma) for sigma in product(loads)]
             accepted.append([f for f in facts if ctx.check_facts(f)])
         assert len(accepted) >= 2, (name, model)
         for i, first in enumerate(accepted):
@@ -355,19 +335,19 @@ def test_cap_partitions_threads_on_corpus(cap):
     assert overflows, cap
 
 
-def test_mp_pairs_combinations_grow_linearly(monkeypatch):
-    real = analysis.enumerate_combinations
-    total = [0]
-
-    def counting(candidates, cap):
-        combos, overflow = real(candidates, cap)
-        total[0] += len(combos)
-        return combos, overflow
-
-    monkeypatch.setattr(analysis, "enumerate_combinations", counting)
+def test_mp_pairs_combinations_grow_linearly():
+    # the product size of each component with an enumerable load, from the
+    # per-thread stats: a component's product is its threads' products
     counts = []
     for k in range(1, 8):
-        total[0] = 0
-        analyze_all(program(mp_text(k)), TSO)
-        counts.append(total[0])
+        prog = program(mp_text(k))
+        relstore = extract_all(prog)
+        candidates = collect_candidates(prog, relstore)
+        _, _, stats = analyze_all(prog, TSO)
+        counts.append(sum(
+            math.prod(stats.per_thread[t].combinations_enumerated
+                      for t in names)
+            for names in interference_components(prog, relstore, candidates)
+            if any(l in candidates for t in names
+                   for l in prog.threads[t].nodes)))
     assert counts == [4 * k for k in range(1, 8)]

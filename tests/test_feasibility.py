@@ -1,16 +1,19 @@
-"""NoReorder tables, MHB/MustNotReadFrom deduction, combination checks."""
+"""NoReorder tables, MHB/MustNotReadFrom deduction, combination checks,
+and the enumeration's one-fact step against whole-set checks."""
 from __future__ import annotations
 
 import pytest
 
+from relaxcheck.analysis import collect_candidates
 from relaxcheck.feasibility import (
     ContractViolation, FeasibilityContext, MemoryModel, check_feasible,
     compute_no_reorder,
 )
+from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Load, Store
 from relaxcheck.relations import extract_all
 
-from conftest import corpus_program
+from conftest import CORPUS_FILES, corpus_program
 
 SC, TSO, PSO, RMO = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
                      MemoryModel.RMO)
@@ -249,3 +252,68 @@ def test_fact_monotonicity_never_unprunes():
     big = ctx.facts_for(rho[4])
     if not ctx.check_facts(small):
         assert not ctx.check_facts(big | small)
+
+
+# ---------------------------------------------------------------------------
+# One fact at a time (the enumeration's step) against the whole set
+# ---------------------------------------------------------------------------
+
+# Programs where one fact acts on the facts before it.  In LATER_FLOW the
+# new fact adds no edge of its own: the load of x in r, reading the initial
+# x, precedes w's stores, so by rule (4) u's load, which read r's store to y,
+# precedes w's later store to y.  In LATER_PATH, b's load of y reading a's
+# store to y puts a's store to x between the two loads of x: if both read
+# w's store, rule (6) refutes b's, and b's load of y stays feasible.
+LATER_FLOW = """
+global x = 0, y = 0;
+thread u { local p = y; }
+thread r { y = 1; local q = x; }
+thread w { x = 2; y = 3; }
+"""
+
+LATER_PATH = """
+global x = 0, y = 0;
+thread w { x = 1; }
+thread a { local p = x; x = 5; y = 1; }
+thread b { local q = y; local r = x; }
+"""
+
+
+HAND_WRITTEN = {"later-flow": LATER_FLOW, "later-path": LATER_PATH}
+
+
+def _extend_in_every_order(ctx, candidates, prefix, done, tag) -> None:
+    """Extends `prefix`, the feasible facts of the (load, source) pairs
+    `done` in the order they were added, by each choice of each load not
+    yet chosen and recurses on the extensions not refuted: every prefix of
+    every order of every combination is stepped to once.  Each step must
+    refute exactly when check_facts refutes the facts so far, and otherwise
+    keep the rows equal to their closure from scratch."""
+    chosen = dict(done)
+    for load in candidates:
+        if load in chosen:
+            continue
+        for source in [None] + candidates[load]:
+            child = ctx.extend(prefix, load, source)
+            order = (*done, (load, source))
+            facts = ctx.facts_for(dict(order))
+            assert bool(ctx.check_facts(facts)) == (child is not None), \
+                (tag, order)
+            if child is None:
+                continue
+            assert child[0] == ctx.mhb_rows(facts), (tag, order)
+            assert frozenset(child[1]) == facts, (tag, order)
+            _extend_in_every_order(ctx, candidates, child, order, tag)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES + sorted(HAND_WRITTEN))
+def test_extend_in_every_order_equals_check_facts(name):
+    # the enumeration adds facts in load order; the step must not depend
+    # on that order
+    prog = (parse_and_lower(HAND_WRITTEN[name])[0] if name in HAND_WRITTEN
+            else corpus_program(name))
+    store = extract_all(prog)
+    candidates = collect_candidates(prog, store)
+    for model in (SC, TSO, PSO, RMO):
+        ctx = FeasibilityContext(prog, model, store)
+        _extend_in_every_order(ctx, candidates, ctx.root(), (), (name, model))

@@ -5,8 +5,9 @@ reference, identity-preserving lattice operations (operand results, the
 single widen pass, operands left unchanged), VarId hashing, transfer
 monotonicity and soundness on singletons, per-model relation inclusion
 chains, fact monotonicity of the feasibility engine and of the rules'
-specification, the bitset feasibility engine against the rules it
-implements (and four engine mutants the comparison must catch), dominator
+specification, the bitset feasibility engine and its depth-first
+enumeration against the rules they implement (and four engine mutants the
+comparisons must catch), dominator
 equivalence against a brute-force oracle, flow-graph adjacency, loop nodes
 and NotReachableFrom against edge-scan references, oracle behavior
 inclusion, verdict monotonicity across models, and run determinism.
@@ -21,13 +22,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relaxcheck import feasibility
-from relaxcheck.analysis import analyze_all
+from relaxcheck.analysis import (
+    DEFAULT_CAP, analyze_all, enumerate_combinations,
+)
 from relaxcheck.datalog import spec_mhb, spec_must_not_read_from
 from relaxcheck.domain import (
     NEG_INF, POS_INF, AbstractEnv, Interval, _may_hold, negate, refine,
     transfer,
 )
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
+from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import (
     Assume, BinOp, Cmp, Const, FlowGraph, Load, LocalAssign, Nop, Store,
     Var, VarId,
@@ -37,7 +41,8 @@ from relaxcheck.relations import (
 )
 
 from conftest import (
-    CORPUS_FILES, MODELS, analyzer_result, corpus_program, oracle_behaviors,
+    CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
+    mp_text, oracle_behaviors, product, ring_text,
 )
 
 MANY = settings(max_examples=200, deadline=None,
@@ -497,9 +502,18 @@ def _check_base_mhb() -> None:
                 (name, model)
 
 
+def _reference_enumerate_combinations(loads, ctx) -> list[dict]:
+    """The enumeration the depth-first search replaced: the whole product,
+    then one check_facts query per combination."""
+    return [sigma for sigma in product(loads)
+            if ctx.check_facts(ctx.facts_for(sigma))]
+
+
 def _check_analyzer_queries(monkeypatch) -> None:
-    """Every check_facts query analyze_all makes over corpus x models
-    reports the rules' witness."""
+    """Every fact set analyze_all decides over corpus x models reports the
+    rules' witness: the facts of each combination of every component's
+    product, kept or refuted, and each query check_facts answers for it
+    (the single facts of loop loads)."""
     queries = {}
     check_facts = FeasibilityContext.check_facts
 
@@ -512,6 +526,13 @@ def _check_analyzer_queries(monkeypatch) -> None:
         for name in CORPUS_FILES:
             for model in MODELS:
                 analyze_all(corpus_program(name), model)
+    for name in CORPUS_FILES:
+        prog, store, _ = _rf_universe(name)
+        for model in MODELS:
+            ctx = FeasibilityContext(prog, model, store)
+            for loads in component_loads(prog, store):
+                for sigma in product(loads):
+                    queries[ctx, ctx.facts_for(sigma)] = None
     assert len(queries) > 1000
     for ctx, facts in queries:
         mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(facts),
@@ -521,12 +542,60 @@ def _check_analyzer_queries(monkeypatch) -> None:
         assert bool(result) == (result.witness is None)
 
 
+def _spec_feasible(ctx: FeasibilityContext, facts: frozenset) -> bool:
+    """Whether the rules refute none of the facts."""
+    mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(facts),
+                                   _seeds(facts))
+    return _spec_witness(mnrf, facts) is None
+
+
+def _check_enumeration(cases, spec: bool = False) -> None:
+    """For each (program, model), the depth-first enumeration of every
+    component yields exactly the product filtered by check_facts, in the
+    same order; with `spec`, also exactly the product filtered by the
+    rules themselves."""
+    for prog, model in cases:
+        relstore = extract_all(prog)
+        ctx = FeasibilityContext(prog, model, relstore)
+        for loads in component_loads(prog, relstore):
+            got, overflow = enumerate_combinations(loads, DEFAULT_CAP, ctx)
+            assert not overflow
+            assert got == _reference_enumerate_combinations(loads, ctx), \
+                (model, loads)
+            if spec:
+                assert got == [sigma for sigma in product(loads)
+                               if _spec_feasible(ctx, ctx.facts_for(sigma))
+                               ], (model, loads)
+
+
+def _corpus_cases():
+    return [(corpus_program(name), model)
+            for name in CORPUS_FILES for model in MODELS]
+
+
+_GENERATED_CASES = {
+    "mp": [mp_text(k) for k in (1, 2, 3)],
+    "ring": [ring_text(k) for k in (3, 4, 5)],
+}
+
+
 def test_base_mhb_equals_spec_on_corpus():
     _check_base_mhb()
 
 
 def test_check_facts_equals_spec_on_analyzer_queries(monkeypatch):
     _check_analyzer_queries(monkeypatch)
+
+
+def test_enumeration_equals_filtered_product_on_corpus():
+    _check_enumeration(_corpus_cases(), spec=True)
+
+
+@pytest.mark.parametrize("family", sorted(_GENERATED_CASES))
+def test_enumeration_equals_filtered_product_on_generated(family):
+    _check_enumeration((parse_and_lower(text)[0], model)
+                       for text in _GENERATED_CASES[family]
+                       for model in MODELS)
 
 
 @MANY
@@ -573,12 +642,12 @@ def _drop_rule_6(m):
 
 
 def _skip_rule_4(m):
-    def fact_edges_only(ctx, facts):
-        rows = list(ctx._base_rows)
-        for load, source in facts:
+    def fact_edges_only(ctx, rows, facts, new):
+        rows = list(rows)
+        for load, source in new:
             feasibility._insert(rows, ctx._bit[source], 1 << ctx._bit[load])
         return rows
-    m.setattr(FeasibilityContext, "mhb_rows", fact_edges_only)
+    m.setattr(FeasibilityContext, "add_facts", fact_edges_only)
 
 
 def _insert_into_row_a_only(m):
@@ -605,6 +674,8 @@ def test_spec_differentials_catch_engine_mutants(mutant, monkeypatch):
     with pytest.raises(AssertionError):
         _check_base_mhb()
         _check_analyzer_queries(monkeypatch)
+    with pytest.raises(AssertionError):
+        _check_enumeration(_corpus_cases(), spec=True)
 
 
 # ---------------------------------------------------------------------------
