@@ -6,7 +6,8 @@ a must-happen-before relation (MHB) and a refuted-data-flow relation
 (MustNotReadFrom), used to reject interference combinations that cannot
 occur in any concrete execution.  `datalog.py` transcribes the rules as a
 least fixpoint over sets, the specification the tests hold this module to;
-this module evaluates them with a closure over bitsets instead.
+this module evaluates them with a closure over bitsets instead, and reads
+Dominates and NotReachableFrom per node rather than as pair sets.
 
 MHB is kept transitively closed as one row per node, in sorted node-id
 order: row a is an int whose bit b means MHB(a, b).  Adding the edges
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import Fence, Load, Program, Store, ThreadCreate, ThreadJoin, VarId
+from .ir import Program, VarId
 from .relations import RelationStore, extract_all
 
 
@@ -62,45 +63,29 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _access_kind(instr) -> str | None:
-    if isinstance(instr, Load):
-        return "L"
-    if isinstance(instr, Store):
-        return "S"
-    return None
-
-
-def _is_strong(instr) -> bool:
-    """Nodes ordered with everything in their thread: fences and the
-    thread-management points (create/join act as full barriers, and
-    entry/exit anchor the cross-thread ordering rules)."""
-    return isinstance(instr, (Fence, ThreadCreate, ThreadJoin))
-
-
-def _classify(instr, boundary: bool
-              ) -> tuple[str | None, VarId | None, bool]:
-    """(access kind, variable, strong) of a node; the thread's entry and
-    exit count as strong."""
-    kind = _access_kind(instr)
-    var = instr.src if kind == "L" else instr.dst if kind == "S" else None
-    return kind, var, boundary or _is_strong(instr)
-
-
 def compute_no_reorder(model: MemoryModel, store: RelationStore,
                        program: Program) -> set[tuple[int, int]]:
     """Same-thread pairs (s1,s2), s1 program-order-before s2, that no
-    execution under the model may reorder."""
+    execution under the model may reorder.  Fences and the
+    thread-management points are ordered with everything in their thread:
+    create/join act as full barriers, and entry/exit anchor the
+    cross-thread ordering rules."""
+    strong = (store.is_fence | {c for c, _ in store.thread_creates}
+              | {j for j, _ in store.thread_joins})
     pairs: set[tuple[int, int]] = set()
     for name in sorted(program.threads):
         g = program.threads[name]
         interesting = []
         for n in sorted(g.nodes):
-            c = _classify(g.nodes[n], n in (g.entry, g.exit))
-            if c[0] is not None or c[2]:
+            kind = ("L" if n in store.load_var
+                    else "S" if n in store.store_var else None)
+            c = (kind, store.load_var.get(n, store.store_var.get(n)),
+                 n in strong or n in (g.entry, g.exit))
+            if kind is not None or c[2]:
                 interesting.append((n, c))
         for s1, c1 in interesting:
             # s1 must be able to precede s2 in program order
-            after = g.reachable[s1]
+            after = store.reach[s1]
             for s2, c2 in interesting:
                 if (s2 != s1 and s2 in after
                         and _base_no_reorder(model, c1, c2)):
@@ -110,7 +95,8 @@ def compute_no_reorder(model: MemoryModel, store: RelationStore,
 
 
 def _base_no_reorder(model: MemoryModel, c1, c2) -> bool:
-    """Whether the model keeps s1 before s2, from their `_classify`."""
+    """Whether the model keeps s1 before s2, from their (access kind,
+    variable, strong)."""
     (k1, v1, strong1), (k2, v2, strong2) = c1, c2
     if strong1 or strong2:
         return True
@@ -129,26 +115,16 @@ def _base_no_reorder(model: MemoryModel, c1, c2) -> bool:
 
 
 def _membar_pairs(store: RelationStore) -> set[tuple[int, int]]:
+    """(s1, s2) with s1 dominating a membar of kind k1k2 that dominates
+    s2, s1 of access kind k1 and s2 of access kind k2."""
+    of_kind = {"L": store.load_var, "S": store.store_var}
     pairs: set[tuple[int, int]] = set()
-    before: dict[int, list[int]] = {}
-    after: dict[int, list[int]] = {}
-    for a, b in store.dominates:
-        after.setdefault(a, []).append(b)
-        before.setdefault(b, []).append(a)
-    kind_of = {}
-    for n, v in store.load_var.items():
-        kind_of[n] = "L"
-    for n, v in store.store_var.items():
-        kind_of[n] = "S"
     for kind, members in store.membars.items():
-        k1, k2 = kind[0], kind[1]
-        for m in sorted(members):
-            for s1 in before.get(m, ()):
-                if kind_of.get(s1) != k1:
-                    continue
-                for s2 in after.get(m, ()):
-                    if kind_of.get(s2) == k2:
-                        pairs.add((s1, s2))
+        firsts = of_kind[kind[0]]
+        for s2 in of_kind[kind[1]]:
+            for m in store.dominators[s2] & members:
+                pairs.update((s1, s2) for s1 in store.dominators[m]
+                             if s1 in firsts)
     return pairs
 
 
@@ -185,7 +161,8 @@ def deduce_mhb(bit: dict[int, int], store: RelationStore,
     the closure of the edges of rules (1) and (2)."""
     edges = (store.thread_creates
              | {(x, j) for j, x in store.thread_joins}
-             | (store.dominates & store.not_reachable_from & no_reorder))
+             | {(a, b) for a, b in no_reorder
+                if a in store.dominators[b] and a not in store.reach[b]})
     targets: dict[int, int] = {}
     for a, b in edges:
         targets[bit[a]] = targets.get(bit[a], 0) | 1 << bit[b]
@@ -224,8 +201,7 @@ class FeasibilityContext:
         self._init_source: dict[int, int | None] = {}
         for l, v in self.store.load_var.items():
             own = own_stores.get((self.store.thread_of[l], v), ())
-            forwarded = any((l, s) not in self.store.not_reachable_from
-                            for s in own)
+            forwarded = any(l in self.store.reach[s] for s in own)
             self._init_source[l] = (None if forwarded
                                     else program.init_stores.get(v))
         self._cache: dict[frozenset, FeasibilityResult] = {}

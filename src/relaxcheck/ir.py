@@ -4,9 +4,9 @@ A program is a set of flow graphs, one per thread, plus a virtual root
 thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
-A flow graph builds its adjacency lists, reachability closure and loop
-nodes once, and `FlowGraph.reach` is the one reachability routine of the
-package.
+A flow graph builds its adjacency lists, reachability closure, strict
+dominators and loop nodes once, and `FlowGraph.reach` is the one
+reachability routine of the package.
 """
 from __future__ import annotations
 
@@ -234,9 +234,9 @@ Instruction = (
 
 @dataclass
 class FlowGraph:
-    """One thread's flow graph.  Adjacency, reachability and loop nodes are
-    built on first use and never rebuilt, so nodes and edges are fixed from
-    then on."""
+    """One thread's flow graph.  Adjacency, reachability, dominators and loop
+    nodes are built on first use and never rebuilt, so nodes and edges are
+    fixed from then on."""
     thread: str
     nodes: dict[int, Instruction]
     entry: int
@@ -274,6 +274,32 @@ class FlowGraph:
     def reachable(self) -> dict[int, frozenset[int]]:
         """`reach` of every node, computed once."""
         return {n: frozenset(self.reach(n)) for n in self.nodes}
+
+    @cached_property
+    def dominators(self) -> dict[int, frozenset[int]]:
+        """The strict dominators of every node: a is in dominators[b] iff
+        a != b and every path entry->b passes through a.  Standard iterative
+        dataflow over the node set, so a node that the entry cannot reach
+        is dominated by every other node."""
+        nodes = sorted(self.nodes)
+        all_set = set(nodes)
+        dom: dict[int, set[int]] = {n: set(all_set) for n in nodes}
+        dom[self.entry] = {self.entry}
+        changed = True
+        while changed:
+            changed = False
+            for n in nodes:
+                if n == self.entry:
+                    continue
+                preds = self.predecessors(n)
+                new = set(all_set)
+                for p in preds:
+                    new &= dom[p]
+                new.add(n)
+                if new != dom[n]:
+                    dom[n] = new
+                    changed = True
+        return {n: frozenset(dom[n] - {n}) for n in nodes}
 
     @cached_property
     def loop_nodes(self) -> frozenset[int]:

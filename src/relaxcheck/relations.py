@@ -1,17 +1,20 @@
 """Static relation extraction from a program's flow graphs.
 
 Populates the finite relations the deductive feasibility engine consumes:
-instruction classifiers (IsLoad, IsStore, IsFence, per-kind membars),
-per-thread Dominates and NotReachableFrom, and the cross-thread
-ThreadCreates/ThreadJoins edges.
+instruction classifiers (IsLoad, IsStore, IsFence, per-kind membars), the
+cross-thread ThreadCreates/ThreadJoins edges, and per thread Dominates and
+NotReachableFrom.  The last two are stored per node, as each node's strict
+dominators and the nodes reachable from it: references to the frozensets
+every `FlowGraph` computes once, so no analysis builds a quadratic pair
+set.  As pair sets they are read-only views, built on access for the dump
+and the Datalog spec.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .ir import (
-    Fence, FlowGraph, Load, Membar, Program, Store, ThreadCreate, ThreadJoin,
-    VarId,
+    Fence, Load, Membar, Program, Store, ThreadCreate, ThreadJoin, VarId,
 )
 
 
@@ -24,13 +27,15 @@ class RelationStore:
     membars: dict[str, set[int]] = field(
         default_factory=lambda: {"LL": set(), "LS": set(),
                                  "SL": set(), "SS": set()})
-    dominates: set[tuple[int, int]] = field(default_factory=set)
-    not_reachable_from: set[tuple[int, int]] = field(default_factory=set)
+    #: node -> its strict dominators (`FlowGraph.dominators`)
+    dominators: dict[int, frozenset[int]] = field(default_factory=dict)
+    #: node -> the nodes reachable from it (`FlowGraph.reachable`)
+    reach: dict[int, frozenset[int]] = field(default_factory=dict)
     thread_creates: set[tuple[int, int]] = field(default_factory=set)
     thread_joins: set[tuple[int, int]] = field(default_factory=set)
     thread_of: dict[int, str] = field(default_factory=dict)
 
-    # IsLoad/IsStore as relations, for the dump and the Datalog spec
+    # Pair-set views, for the dump and the Datalog spec
     @property
     def is_load(self) -> set[tuple[int, VarId]]:
         return set(self.load_var.items())
@@ -38,6 +43,22 @@ class RelationStore:
     @property
     def is_store(self) -> set[tuple[int, VarId]]:
         return set(self.store_var.items())
+
+    @property
+    def dominates(self) -> set[tuple[int, int]]:
+        """(a, b) iff a strictly dominates b."""
+        return {(a, b) for b, doms in self.dominators.items() for a in doms}
+
+    @property
+    def not_reachable_from(self) -> set[tuple[int, int]]:
+        """(s1, s2) iff s1 != s2 share a thread and no path leads from s2
+        to s1."""
+        nodes_of: dict[str, list[int]] = {}
+        for n, name in self.thread_of.items():
+            nodes_of.setdefault(name, []).append(n)
+        return {(s1, s2) for s2, after in self.reach.items()
+                for s1 in nodes_of[self.thread_of[s2]]
+                if s1 != s2 and s1 not in after}
 
     def dump(self) -> str:
         """Deterministic text dump of every relation, one tuple per line."""
@@ -61,12 +82,15 @@ class RelationStore:
         return "\n".join(lines)
 
 
-def extract_unary(program: Program) -> RelationStore:
-    """Instruction classifiers.  Fence nodes enter IsFence and all four
-    membar relations; Membar nodes enter exactly their declared kinds."""
+def extract_all(program: Program) -> RelationStore:
+    """Every relation of the program.  Fence nodes enter IsFence and all
+    four membar relations; Membar nodes enter exactly their declared
+    kinds."""
     store = RelationStore()
     for name in sorted(program.threads):
         g = program.threads[name]
+        store.dominators.update(g.dominators)
+        store.reach.update(g.reachable)
         for n in sorted(g.nodes):
             instr = g.nodes[n]
             store.thread_of[n] = name
@@ -81,61 +105,10 @@ def extract_unary(program: Program) -> RelationStore:
             elif isinstance(instr, Membar):
                 for kind in instr.kinds:
                     store.membars[kind].add(n)
-    return store
-
-
-def compute_dominates(graph: FlowGraph) -> set[tuple[int, int]]:
-    """Strict domination: (a,b) iff a != b and every path entry->b passes
-    through a.  Standard iterative dataflow over the node set."""
-    nodes = sorted(graph.nodes)
-    all_set = set(nodes)
-    dom: dict[int, set[int]] = {n: set(all_set) for n in nodes}
-    dom[graph.entry] = {graph.entry}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n == graph.entry:
-                continue
-            preds = graph.predecessors(n)
-            new = set(all_set)
-            for p in preds:
-                new &= dom[p]
-            new.add(n)
-            if new != dom[n]:
-                dom[n] = new
-                changed = True
-    return {(a, b) for b in nodes for a in dom[b] if a != b}
-
-
-def compute_not_reachable_from(graph: FlowGraph) -> set[tuple[int, int]]:
-    """(s1,s2) iff there is no directed path from s2 to s1."""
-    nodes = sorted(graph.nodes)
-    reach = graph.reachable
-    return {(s1, s2) for s2 in nodes for s1 in nodes
-            if s1 != s2 and s1 not in reach[s2]}
-
-
-def compute_thread_edges(program: Program) -> tuple[set[tuple[int, int]],
-                                                    set[tuple[int, int]]]:
-    creates: set[tuple[int, int]] = set()
-    joins: set[tuple[int, int]] = set()
-    for name in sorted(program.threads):
-        g = program.threads[name]
-        for n in sorted(g.nodes):
-            instr = g.nodes[n]
-            if isinstance(instr, ThreadCreate):
-                creates.add((n, program.threads[instr.child].entry))
+            elif isinstance(instr, ThreadCreate):
+                child = program.threads[instr.child]
+                store.thread_creates.add((n, child.entry))
             elif isinstance(instr, ThreadJoin):
-                joins.add((n, program.threads[instr.child].exit))
-    return creates, joins
-
-
-def extract_all(program: Program) -> RelationStore:
-    store = extract_unary(program)
-    for name in sorted(program.threads):
-        g = program.threads[name]
-        store.dominates |= compute_dominates(g)
-        store.not_reachable_from |= compute_not_reachable_from(g)
-    store.thread_creates, store.thread_joins = compute_thread_edges(program)
+                child = program.threads[instr.child]
+                store.thread_joins.add((n, child.exit))
     return store

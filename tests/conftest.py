@@ -1,5 +1,6 @@
 """Shared fixtures: corpus discovery, cached analyzer/oracle results, two
-generated program families and the per-component combination product.
+generated program families, the per-component combination product and one
+flow graph's Dominates and NotReachableFrom pair sets.
 
 Analyzer and oracle runs are memoized per (program, model) so the property
 suites and the acceptance gate can sample them repeatedly without re-paying
@@ -16,6 +17,7 @@ import pytest
 from relaxcheck import MemoryModel, analyze_all, parse_and_lower
 from relaxcheck.analysis import collect_candidates, interference_components
 from relaxcheck.oracle import enumerate_executions, violates
+from relaxcheck.relations import RelationStore
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -49,6 +51,19 @@ def oracle_flags(name: str, model: MemoryModel) -> dict[int, bool]:
 @functools.lru_cache(maxsize=None)
 def oracle_behaviors(name: str, model: MemoryModel) -> frozenset:
     return frozenset(enumerate_executions(corpus_program(name), model))
+
+
+def dominates(graph) -> set[tuple[int, int]]:
+    """One flow graph's Dominates, as the store's view of its dominators."""
+    return RelationStore(dominators=graph.dominators).dominates
+
+
+def not_reachable_from(graph) -> set[tuple[int, int]]:
+    """One flow graph's NotReachableFrom, as the store's view of its
+    reach."""
+    return RelationStore(reach=graph.reachable,
+                         thread_of=dict.fromkeys(graph.nodes, graph.thread)
+                         ).not_reachable_from
 
 
 def component_loads(prog, relstore):

@@ -36,13 +36,12 @@ from relaxcheck.ir import (
     Assume, BinOp, Cmp, Const, FlowGraph, Load, LocalAssign, Nop, Store,
     Var, VarId,
 )
-from relaxcheck.relations import (
-    compute_dominates, compute_not_reachable_from, extract_all,
-)
+from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
-    mp_text, oracle_behaviors, product, ring_text,
+    dominates, mp_text, not_reachable_from, oracle_behaviors, product,
+    ring_text,
 )
 
 MANY = settings(max_examples=200, deadline=None,
@@ -724,7 +723,7 @@ def _brute_dominates(graph: FlowGraph):
 @MANY
 @given(small_graphs())
 def test_dominates_equals_brute_force(graph):
-    assert compute_dominates(graph) == _brute_dominates(graph)
+    assert dominates(graph) == _brute_dominates(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +776,7 @@ def _assert_structure_matches_scans(graph: FlowGraph) -> None:
         assert list(graph.successors(n)) == _scan_successors(graph, n)
         assert list(graph.predecessors(n)) == _scan_predecessors(graph, n)
     assert graph.loop_nodes == _scan_cycle_nodes(graph)
-    assert compute_not_reachable_from(graph) \
-        == _scan_not_reachable_from(graph)
+    assert not_reachable_from(graph) == _scan_not_reachable_from(graph)
 
 
 @MANY

@@ -1,13 +1,19 @@
-"""Static relation extraction: classifiers, dominators, reachability."""
+"""Static relation extraction: classifiers, dominators, reachability, the
+`--emit-relations` output and the per-node form the analyzer reads."""
 from __future__ import annotations
 
-from relaxcheck.ir import Fence, FlowGraph, Membar, Nop
-from relaxcheck.relations import (
-    compute_dominates, compute_not_reachable_from, compute_thread_edges,
-    extract_all, extract_unary,
-)
+import functools
+import hashlib
 
-from conftest import corpus_program
+from relaxcheck import analyze_all, parse_and_lower
+from relaxcheck.cli import _relation_dump
+from relaxcheck.ir import Fence, FlowGraph, Membar, Nop
+from relaxcheck.relations import RelationStore, extract_all
+
+from conftest import (
+    CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
+    dominates, not_reachable_from,
+)
 
 
 def _graph(n_nodes: int, edges: set[tuple[int, int]]) -> FlowGraph:
@@ -49,25 +55,25 @@ def brute_force_dominates(graph: FlowGraph) -> set[tuple[int, int]]:
 
 def test_dominates_chain():
     g = _graph(3, {(0, 1), (1, 2)})
-    assert compute_dominates(g) == {(0, 1), (0, 2), (1, 2)}
+    assert dominates(g) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_dominates_diamond():
     g = _graph(4, {(0, 1), (0, 2), (1, 3), (2, 3)})
-    d = compute_dominates(g)
+    d = dominates(g)
     assert (0, 3) in d
     assert (1, 3) not in d and (2, 3) not in d
 
 
 def test_dominates_strict():
     g = _graph(2, {(0, 1)})
-    assert all(a != b for a, b in compute_dominates(g))
+    assert all(a != b for a, b in dominates(g))
 
 
 def test_dominates_with_loop_before_pair():
     # entry -> loop {1 <-> 2} -> 3 -> 4: 3 dominates 4 despite the loop
     g = _graph(5, {(0, 1), (1, 2), (2, 1), (2, 3), (3, 4)})
-    assert (3, 4) in compute_dominates(g)
+    assert (3, 4) in dominates(g)
 
 
 def test_dominates_matches_brute_force_on_small_graphs():
@@ -78,19 +84,19 @@ def test_dominates_matches_brute_force_on_small_graphs():
         _graph(6, {(0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5)}),
     ]
     for g in shapes:
-        assert compute_dominates(g) == brute_force_dominates(g)
+        assert dominates(g) == brute_force_dominates(g)
 
 
 def test_not_reachable_from_straight_line():
     g = _graph(2, {(0, 1)})
-    nrf = compute_not_reachable_from(g)
+    nrf = not_reachable_from(g)
     assert (0, 1) in nrf          # 0 not reachable from 1
     assert (1, 0) not in nrf      # 1 is reachable from 0
 
 
 def test_not_reachable_from_loop():
     g = _graph(4, {(0, 1), (1, 2), (2, 1), (2, 3)})
-    nrf = compute_not_reachable_from(g)
+    nrf = not_reachable_from(g)
     assert (1, 2) not in nrf      # back edge: 1 reachable from 2
     assert (1, 1) not in nrf      # on a cycle: self-reachable
     # reflexive pairs are always excluded (trivial empty path)
@@ -99,7 +105,8 @@ def test_not_reachable_from_loop():
 
 def test_thread_edges_from_root():
     prog = corpus_program("fig2_fence.lit")
-    creates, joins = compute_thread_edges(prog)
+    store = extract_all(prog)
+    creates, joins = store.thread_creates, store.thread_joins
     targets = {b for (_, b) in creates}
     assert {prog.threads["t1"].entry, prog.threads["t2"].entry} <= targets
     exits = {b for (_, b) in joins}
@@ -108,7 +115,7 @@ def test_thread_edges_from_root():
 
 def test_fence_populates_all_membar_relations():
     prog = corpus_program("fig2_fence.lit")
-    store = extract_unary(prog)
+    store = extract_all(prog)
     fences = store.is_fence
     assert len(fences) == 1
     f = next(iter(fences))
@@ -118,7 +125,7 @@ def test_fence_populates_all_membar_relations():
 
 def test_membar_node_populates_only_declared_kinds():
     prog = corpus_program("sb_membar.lit")
-    store = extract_unary(prog)
+    store = extract_all(prog)
     declared = {k for k, members in store.membars.items() if members}
     ms = set().union(*(store.membars[k] for k in declared)) \
         if declared else set()
@@ -151,3 +158,49 @@ def test_dominates_and_nrf_same_thread_only():
 def test_dump_is_deterministic():
     prog = corpus_program("fig2_fence.lit")
     assert extract_all(prog).dump() == extract_all(prog).dump()
+
+
+#: sha256 of `--emit-relations` over corpus x models, when every relation
+#: was a stored pair set
+RELATION_DUMP_DIGEST = \
+    "dbd236104ac0466a5d1b2f18ad2d26dde0838bdfc8af52d004f9623532a9f81e"
+
+
+def test_relation_dump_digest_is_pinned():
+    """Dominates, NotReachableFrom, NoReorder and MHB print byte for byte
+    as they did when the relations were pair sets."""
+    digest = hashlib.sha256()
+    for name in CORPUS_FILES:
+        for model in MODELS:
+            dump = _relation_dump(corpus_program(name), model)
+            digest.update(f"{name} {model}\n{dump}\n".encode())
+    assert digest.hexdigest() == RELATION_DUMP_DIGEST
+
+
+def test_analyzer_builds_no_pair_set(monkeypatch):
+    """analyze_all reads Dominates and NotReachableFrom per node only, and
+    each flow graph computes its dominators once across the four models."""
+    expected = {(name, model): analyzer_result(name, model)
+                for name in CORPUS_FILES for model in MODELS}
+
+    def refuse(store):
+        raise AssertionError("the analyzer built a pair set")
+    monkeypatch.setattr(RelationStore, "dominates", property(refuse))
+    monkeypatch.setattr(RelationStore, "not_reachable_from", property(refuse))
+    computed: list[FlowGraph] = []
+    dominators = FlowGraph.dominators.func
+
+    def counted(graph):
+        computed.append(graph)
+        return dominators(graph)
+    counted_property = functools.cached_property(counted)
+    counted_property.__set_name__(FlowGraph, "dominators")
+    monkeypatch.setattr(FlowGraph, "dominators", counted_property)
+
+    graphs = []
+    for name in CORPUS_FILES:
+        program, _ = parse_and_lower(corpus_text(name))
+        for model in MODELS:
+            assert analyze_all(program, model) == expected[name, model]
+        graphs += program.threads.values()
+    assert sorted(map(id, computed)) == sorted(map(id, graphs))
