@@ -7,16 +7,16 @@ a must-happen-before relation (MHB) and a refuted-data-flow relation
 occur in any concrete execution.  `datalog.py` transcribes the rules as a
 least fixpoint over sets, the specification the tests hold this module to;
 this module evaluates them with a closure over bitsets instead, and reads
-Dominates and NotReachableFrom per node rather than as pair sets.
+Dominates and NotReachableFrom as per-node masks rather than as pair sets.
 
-MHB is kept transitively closed as one row per node, in sorted node-id
-order: row a is an int whose bit b means MHB(a, b).  Adding the edges
-a -> T keeps the rows closed in one pass, with no Warshall step: a, and
-every row that has bit a, gains T and the rows of T.  The rows under no
-reads-from facts (rules (1)-(3)) are built once per context.  `add_facts`
-closes rows under more facts: it adds each new fact's store -> load edge and
-applies rule (4) until nothing changes.  Both ways of asking use it and
-`must_not_read_from` (rules (5) and (6)):
+MHB is kept transitively closed as one row per node id, a node mask like
+every per-node node set of the package: bit b of row a means MHB(a, b).
+Adding the edges a -> T keeps the rows closed in one pass, with no
+Warshall step: a, and every row that has bit a, gains T and the rows of T.
+The rows under no reads-from facts (rules (1)-(3)) are built once per
+context.  `add_facts` closes rows under more facts: it adds each new fact's
+store -> load edge and applies rule (4) until nothing changes.  Both ways
+of asking use it and `must_not_read_from` (rules (5) and (6)):
 
 - `check_facts` decides one fact set from the base rows.
 - `extend` is one step of a depth-first enumeration: it adds a single fact
@@ -27,11 +27,11 @@ applies rule (4) until nothing changes.  Both ways of asking use it and
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ir import Program, VarId
+from .ir import Program, VarId, bits
 from .relations import RelationStore, extract_all
 
 
@@ -82,13 +82,12 @@ def compute_no_reorder(model: MemoryModel, store: RelationStore,
             c = (kind, store.load_var.get(n, store.store_var.get(n)),
                  n in strong or n in (g.entry, g.exit))
             if kind is not None or c[2]:
-                interesting.append((n, c))
-        for s1, c1 in interesting:
+                interesting.append((n, c, 1 << n))
+        for s1, c1, bit1 in interesting:
             # s1 must be able to precede s2 in program order
-            after = store.reach[s1]
-            for s2, c2 in interesting:
-                if (s2 != s1 and s2 in after
-                        and _base_no_reorder(model, c1, c2)):
+            after = store.reach[s1] & ~bit1
+            for s2, c2, bit2 in interesting:
+                if after & bit2 and _base_no_reorder(model, c1, c2):
                     pairs.add((s1, s2))
     pairs |= _membar_pairs(store)
     return pairs
@@ -118,13 +117,14 @@ def _membar_pairs(store: RelationStore) -> set[tuple[int, int]]:
     """(s1, s2) with s1 dominating a membar of kind k1k2 that dominates
     s2, s1 of access kind k1 and s2 of access kind k2."""
     of_kind = {"L": store.load_var, "S": store.store_var}
+    firsts = {k: sum(1 << n for n in nodes) for k, nodes in of_kind.items()}
     pairs: set[tuple[int, int]] = set()
     for kind, members in store.membars.items():
-        firsts = of_kind[kind[0]]
+        membars = sum(1 << m for m in members)
         for s2 in of_kind[kind[1]]:
-            for m in store.dominators[s2] & members:
-                pairs.update((s1, s2) for s1 in store.dominators[m]
-                             if s1 in firsts)
+            for m in bits(store.dominators[s2] & membars):
+                pairs.update((s1, s2) for s1 in
+                             bits(store.dominators[m] & firsts[kind[0]]))
     return pairs
 
 
@@ -132,20 +132,12 @@ def _membar_pairs(store: RelationStore) -> set[tuple[int, int]]:
 # MHB as a closure over bitset rows
 # ---------------------------------------------------------------------------
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _insert(rows: list[int], a: int, targets: int) -> None:
     """Add MHB(a, t) for every bit t of targets to the closed rows, keeping
     them closed: a, and every node before a, gain the targets and every
     node after them."""
     add = targets
-    for t in _bits(targets):
+    for t in bits(targets):
         add |= rows[t]
     if not add & ~rows[a]:
         return  # row a, and every row before a (a superset), has add
@@ -155,18 +147,18 @@ def _insert(rows: list[int], a: int, targets: int) -> None:
             rows[i] = row | add
 
 
-def deduce_mhb(bit: dict[int, int], store: RelationStore,
+def deduce_mhb(store: RelationStore,
                no_reorder: set[tuple[int, int]]) -> tuple[int, ...]:
-    """MHB rows under no reads-from facts, indexed by `bit` (node -> row):
-    the closure of the edges of rules (1) and (2)."""
+    """MHB rows under no reads-from facts, one per node id up to the
+    largest: the closure of the edges of rules (1) and (2)."""
     edges = (store.thread_creates
              | {(x, j) for j, x in store.thread_joins}
              | {(a, b) for a, b in no_reorder
-                if a in store.dominators[b] and a not in store.reach[b]})
+                if (store.dominators[b] & ~store.reach[b]) >> a & 1})
     targets: dict[int, int] = {}
     for a, b in edges:
-        targets[bit[a]] = targets.get(bit[a], 0) | 1 << bit[b]
-    rows = [0] * len(bit)
+        targets[a] = targets.get(a, 0) | 1 << b
+    rows = [0] * (max(store.thread_of) + 1)
     for a in sorted(targets):
         _insert(rows, a, targets[a])
     return tuple(rows)
@@ -185,13 +177,11 @@ class FeasibilityContext:
         self.model = model
         self.store = store if store is not None else extract_all(program)
         self.no_reorder = compute_no_reorder(model, self.store, program)
-        self._nodes = sorted(self.store.thread_of)
-        self._bit = {n: i for i, n in enumerate(self._nodes)}
         self._stores_of: dict[VarId, int] = {}
         for s, v in self.store.store_var.items():
-            self._stores_of[v] = self._stores_of.get(v, 0) | 1 << self._bit[s]
+            self._stores_of[v] = self._stores_of.get(v, 0) | 1 << s
         # MHB under no reads-from assumptions; every query starts from it
-        self._base_rows = deduce_mhb(self._bit, self.store, self.no_reorder)
+        self._base_rows = deduce_mhb(self.store, self.no_reorder)
         # per load: the init store, when no same-thread store to its
         # variable can reach it (otherwise the sequential value may be a
         # forwarded own write, and no single source can be asserted)
@@ -201,7 +191,7 @@ class FeasibilityContext:
         self._init_source: dict[int, int | None] = {}
         for l, v in self.store.load_var.items():
             own = own_stores.get((self.store.thread_of[l], v), ())
-            forwarded = any(l in self.store.reach[s] for s in own)
+            forwarded = any(self.store.reach[s] >> l & 1 for s in own)
             self._init_source[l] = (None if forwarded
                                     else program.init_stores.get(v))
         self._cache: dict[frozenset, FeasibilityResult] = {}
@@ -212,9 +202,7 @@ class FeasibilityContext:
 
     def mhb_pairs(self, rows: Sequence[int]) -> set[tuple[int, int]]:
         """The MHB relation the rows encode, as (node, node) pairs."""
-        nodes = self._nodes
-        return {(nodes[a], nodes[b])
-                for a, row in enumerate(rows) for b in _bits(row)}
+        return {(a, b) for a, row in enumerate(rows) for b in bits(row)}
 
     # -- building reads-from fact sets -------------------------------------
     def fact(self, load: int, source: int | None) -> Fact | None:
@@ -249,14 +237,13 @@ class FeasibilityContext:
         the store commits first.  Rule (4) then orders the load before
         every same-variable store after its source.  While the rows stay
         as they were, only the new facts' rule (4) can add an edge."""
-        bit = self._bit
         load_var, store_var = self.store.load_var, self.store.store_var
         before, rows = rows, list(rows)
         for load, source in new:
-            _insert(rows, bit[source], 1 << bit[load])
+            _insert(rows, source, 1 << load)
 
         def flows(facts):
-            return [(bit[load], bit[source], self._stores_of[var])
+            return [(load, source, self._stores_of[var])
                     for load, source in facts
                     if (var := load_var.get(load)) is not None
                     and store_var.get(source) == var]
@@ -285,17 +272,16 @@ class FeasibilityContext:
         var = self.store.load_var.get(load)
         if var is None or self.store.store_var.get(source) != var:
             return False
-        bit = self._bit
         # (5) the load must precede the store
-        if rows[bit[load]] >> bit[source] & 1:
+        if rows[load] >> source & 1:
             return True
         # (6) another load of var read the store, and a store to var lies
         #     between that load and this one
         same_var = self._stores_of[var]
         for first, read in facts:
             if read == source and self.store.load_var.get(first) == var:
-                for s2 in _bits(rows[bit[first]] & same_var):
-                    if rows[s2] >> bit[load] & 1:
+                for s2 in bits(rows[first] & same_var):
+                    if rows[s2] >> load & 1:
                         return True
         return False
 

@@ -5,14 +5,16 @@ thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
 A flow graph builds its adjacency lists, reachability closure, strict
-dominators and loop nodes once, and `FlowGraph.reach` is the one
-reachability routine of the package.
+dominators and loop nodes once.  Every per-node node set of the package is
+an int mask indexed by node id: bit n stands for node n, and `bits` lists
+the nodes of a mask.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import TypeVar
 
 ROOT_THREAD = "__root__"
@@ -259,52 +261,51 @@ class FlowGraph:
     def predecessors(self, n: int) -> tuple[int, ...]:
         return self._adjacency[1].get(n, ())
 
-    def reach(self, n: int) -> set[int]:
-        """Nodes reachable from n through one or more edges."""
-        seen: set[int] = set()
-        stack = [n]
-        while stack:
-            for s in self.successors(stack.pop()):
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return seen
+    @cached_property
+    def reachable(self) -> dict[int, int]:
+        """The mask of the nodes reachable from each node through one or more
+        edges: the backward dataflow reach[n] = OR over successors s of
+        {s} | reach[s], iterated over descending node ids until stable."""
+        reach = dict.fromkeys(sorted(self.nodes, reverse=True), 0)
+        while True:
+            before = dict(reach)
+            for n in reach:
+                for s in self.successors(n):
+                    reach[n] |= 1 << s | reach[s]
+            if reach == before:
+                return reach
 
     @cached_property
-    def reachable(self) -> dict[int, frozenset[int]]:
-        """`reach` of every node, computed once."""
-        return {n: frozenset(self.reach(n)) for n in self.nodes}
-
-    @cached_property
-    def dominators(self) -> dict[int, frozenset[int]]:
-        """The strict dominators of every node: a is in dominators[b] iff
-        a != b and every path entry->b passes through a.  Standard iterative
-        dataflow over the node set, so a node that the entry cannot reach
-        is dominated by every other node."""
-        nodes = sorted(self.nodes)
-        all_set = set(nodes)
-        dom: dict[int, set[int]] = {n: set(all_set) for n in nodes}
-        dom[self.entry] = {self.entry}
-        changed = True
-        while changed:
-            changed = False
-            for n in nodes:
-                if n == self.entry:
-                    continue
-                preds = self.predecessors(n)
-                new = set(all_set)
-                for p in preds:
-                    new &= dom[p]
-                new.add(n)
-                if new != dom[n]:
-                    dom[n] = new
-                    changed = True
-        return {n: frozenset(dom[n] - {n}) for n in nodes}
+    def dominators(self) -> dict[int, int]:
+        """The mask of the strict dominators of every node: a is in
+        dominators[b] iff a != b and every path entry->b passes through a.
+        Standard iterative dataflow over the node set, so a node that the
+        entry cannot reach is dominated by every other node."""
+        every = sum(1 << n for n in self.nodes)
+        dom = dict.fromkeys(sorted(self.nodes), every)
+        dom[self.entry] = 1 << self.entry
+        while True:
+            before = dict(dom)
+            for n in dom:
+                if n != self.entry:
+                    dom[n] = reduce(and_, map(dom.get, self.predecessors(n)),
+                                    every) | 1 << n
+            if dom == before:
+                return {n: d & ~(1 << n) for n, d in dom.items()}
 
     @cached_property
     def loop_nodes(self) -> frozenset[int]:
         """Nodes lying on some cycle (self-reachable through >=1 edge)."""
-        return frozenset(n for n, r in self.reachable.items() if n in r)
+        return frozenset(n for n, r in self.reachable.items() if r >> n & 1)
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The nodes of a node mask (the indices of its set bits), lowest
+    first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -329,21 +330,26 @@ def validate(program: Program) -> list[str]:
         if g.exit not in g.nodes:
             diags.append(f"{name}: exit node {g.exit} missing")
             continue
+        if min(g.nodes) < 0:  # node masks need non-negative ids
+            diags.append(f"{name}: negative node id {min(g.nodes)}")
+            continue
         for n in g.nodes:
             if n in seen_nodes:
                 diags.append(f"{name}: node {n} reused across graphs")
             seen_nodes.add(n)
-        for (a, b) in g.edges:
-            if a not in g.nodes or b not in g.nodes:
-                diags.append(f"{name}: edge ({a},{b}) references unknown node")
+        dangling = [(a, b) for (a, b) in sorted(g.edges)
+                    if a not in g.nodes or b not in g.nodes]
+        for (a, b) in dangling:
+            diags.append(f"{name}: edge ({a},{b}) references unknown node")
         if g.predecessors(g.entry):
             diags.append(f"{name}: entry node {g.entry} has incoming edges")
         if g.successors(g.exit):
             diags.append(f"{name}: exit node {g.exit} has outgoing edges")
-        reach = g.reach(g.entry)
-        for n in sorted(g.nodes):
-            if n != g.entry and n not in reach:
-                diags.append(f"{name}: node {n} unreachable from entry")
+        if not dangling:  # the reach masks read only edges inside the graph
+            reach = g.reachable[g.entry]
+            diags += [f"{name}: node {n} unreachable from entry"
+                      for n in sorted(g.nodes)
+                      if n != g.entry and not reach >> n & 1]
 
         for n in sorted(g.nodes):
             instr = g.nodes[n]

@@ -6,7 +6,9 @@ over all commit orders of the paths' memory events.  Intra-thread order is
 constrained pairwise by the model's reordering table (plus fences, membars,
 and per-location store coherence); a load reads the latest committed store
 to its variable unless a program-order-earlier own store is still pending,
-in which case the load is forced to forward that store's value.
+in which case the load is forced to forward that store's value.  A
+thread's events wait for its create event; an execution ends when no event
+is enabled, completed or blocked, and judges the asserts it reached.
 """
 from __future__ import annotations
 
@@ -161,6 +163,7 @@ class _Check:
     toks: frozenset[int]
     is_assert: bool
     node: int
+    after: int  # how many of the thread's events precede it
 
 
 def _base_ordered(model: MemoryModel, k1: str, v1: VarId,
@@ -216,7 +219,8 @@ class _ThreadTrace:
             elif isinstance(instr, (Assume, Assert)):
                 cond = _subst_cond(instr.cond, locals_env)
                 self.checks.append(_Check(cond, frozenset(_cond_toks(cond)),
-                                          isinstance(instr, Assert), node))
+                                          isinstance(instr, Assert), node,
+                                          len(self.events)))
             elif isinstance(instr, Nop):
                 pass
             else:
@@ -292,12 +296,17 @@ def _linearize(program: Program, traces: list[_ThreadTrace]
             events[e.occ] = e
             if e.kind == "store":
                 store_value[e.occ] = e.value
-    created_by: dict[str, int] = {}  # thread -> creating event occ
+    created_by = {e.value: e.occ for tr in traces for e in tr.events
+                  if e.kind == "create"}  # thread -> creating event occ
+    asserts: list[tuple[_Check, set[int]]] = []  # with the occs they wait for
     for tr in traces:
+        # -1, never done: a thread whose create is on no chosen path
+        start = ({created_by.get(tr.thread, -1)}
+                 if tr.thread != program.root else set())
         for e in tr.events:
-            if e.kind == "create":
-                created_by[e.value] = e.occ
-    trace_of = {tr.thread: tr for tr in traces}
+            e.preds |= start
+        asserts += [(ch, start | {e.occ for e in tr.events[:ch.after]})
+                    for ch in tr.checks if ch.is_assert]
     all_occs = frozenset(events)
     behaviors: set[Execution] = set()
     visited: set = set()
@@ -313,9 +322,6 @@ def _linearize(program: Program, traces: list[_ThreadTrace]
         if occ in done:
             return False
         if not e.preds <= done:
-            return False
-        creator = created_by.get(e.thread)
-        if creator is not None and creator not in done:
             return False
         if e.kind == "join":
             child = {ev.occ for ev in by_thread.get(e.value, [])}
@@ -345,25 +351,19 @@ def _linearize(program: Program, traces: list[_ThreadTrace]
             return
         visited.add(key)
         values = dict(values_items)
-        if done == all_occs:
-            failed = set()
-            for tr in traces:
-                if tr.truncated:
-                    raise OracleLimitError(
-                        f"loop bound exceeded in thread '{tr.thread}'")
-                for ch in tr.checks:
-                    if ch.is_assert and not _eval_cond(ch.cond, values):
-                        failed.add(ch.node)
-            behaviors.add(Execution(memory, frozenset(failed)))
-            return
         # a truncated prefix that is fully realizable has no continuation
         for tr in traces:
             if tr.truncated and {e.occ for e in tr.events} <= done:
                 raise OracleLimitError(
                     f"loop bound exceeded in thread '{tr.thread}'")
-        for occ in sorted(all_occs - done):
-            if not enabled(occ, done, values):
-                continue
+        steps = [occ for occ in sorted(all_occs - done)
+                 if enabled(occ, done, values)]
+        if not steps:  # completed or blocked
+            behaviors.add(Execution(memory, frozenset(
+                ch.node for ch, before in asserts
+                if before <= done and not _eval_cond(ch.cond, values))))
+            return
+        for occ in steps:
             e = events[occ]
             new_memory, new_values = memory, values
             if e.kind == "store":

@@ -4,7 +4,7 @@ Populates the finite relations the deductive feasibility engine consumes:
 instruction classifiers (IsLoad, IsStore, IsFence, per-kind membars), the
 cross-thread ThreadCreates/ThreadJoins edges, and per thread Dominates and
 NotReachableFrom.  The last two are stored per node, as each node's strict
-dominators and the nodes reachable from it: references to the frozensets
+dominators and the nodes reachable from it: references to the node masks
 every `FlowGraph` computes once, so no analysis builds a quadratic pair
 set.  As pair sets they are read-only views, built on access for the dump
 and the Datalog spec.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import (
-    Fence, Load, Membar, Program, Store, ThreadCreate, ThreadJoin, VarId,
+    Fence, Load, Membar, Program, Store, ThreadCreate, ThreadJoin, VarId, bits,
 )
 
 
@@ -27,10 +27,10 @@ class RelationStore:
     membars: dict[str, set[int]] = field(
         default_factory=lambda: {"LL": set(), "LS": set(),
                                  "SL": set(), "SS": set()})
-    #: node -> its strict dominators (`FlowGraph.dominators`)
-    dominators: dict[int, frozenset[int]] = field(default_factory=dict)
-    #: node -> the nodes reachable from it (`FlowGraph.reachable`)
-    reach: dict[int, frozenset[int]] = field(default_factory=dict)
+    #: node -> the mask of its strict dominators (`FlowGraph.dominators`)
+    dominators: dict[int, int] = field(default_factory=dict)
+    #: node -> the mask of the nodes reachable from it (`FlowGraph.reachable`)
+    reach: dict[int, int] = field(default_factory=dict)
     thread_creates: set[tuple[int, int]] = field(default_factory=set)
     thread_joins: set[tuple[int, int]] = field(default_factory=set)
     thread_of: dict[int, str] = field(default_factory=dict)
@@ -47,18 +47,19 @@ class RelationStore:
     @property
     def dominates(self) -> set[tuple[int, int]]:
         """(a, b) iff a strictly dominates b."""
-        return {(a, b) for b, doms in self.dominators.items() for a in doms}
+        return {(a, b) for b, doms in self.dominators.items()
+                for a in bits(doms)}
 
     @property
     def not_reachable_from(self) -> set[tuple[int, int]]:
         """(s1, s2) iff s1 != s2 share a thread and no path leads from s2
         to s1."""
-        nodes_of: dict[str, list[int]] = {}
+        nodes_of: dict[str, int] = {}
         for n, name in self.thread_of.items():
-            nodes_of.setdefault(name, []).append(n)
+            nodes_of[name] = nodes_of.get(name, 0) | 1 << n
         return {(s1, s2) for s2, after in self.reach.items()
-                for s1 in nodes_of[self.thread_of[s2]]
-                if s1 != s2 and s1 not in after}
+                for s1 in bits(nodes_of[self.thread_of[s2]]
+                               & ~after & ~(1 << s2))}
 
     def dump(self) -> str:
         """Deterministic text dump of every relation, one tuple per line."""

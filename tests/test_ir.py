@@ -65,6 +65,15 @@ def test_validate_reports_unreachable_node():
     assert any("unreachable" in d for d in validate(prog))
 
 
+def test_validate_reports_negative_node_id():
+    t = _line("t", [Nop(), Nop(), Nop()])
+    prog = _program_with({"t": t})
+    t.nodes = {-n: instr for n, instr in t.nodes.items()}
+    t.edges = {(-a, -b) for a, b in t.edges}
+    t.entry, t.exit = -t.entry, -t.exit
+    assert any("negative node id" in d for d in validate(prog))
+
+
 def test_validate_rejects_foreign_local_reference():
     a_of_other = VarId("a", "other")
     t = _line("t", [Nop(), Load(a_of_other, VarId("x")), Nop()])

@@ -185,3 +185,37 @@ def test_violates_covers_all_assert_nodes():
     prog = corpus_program("fig2_fence.lit")
     flags = violates(prog, SC)
     assert len(flags) == 1 and not any(flags.values())
+
+
+# ---------------------------------------------------------------------------
+# Blocked executions and threads that are never created
+# ---------------------------------------------------------------------------
+
+BLOCKED_TEXT = """
+global x = 0;
+thread a { x = 1; join(a); }
+thread b { local r = x; assert(r == 0); }
+"""
+
+UNCREATED_TEXT = """
+global x = 0, y = 0;
+thread a { local r = y; if (r == 1) { create(c); } }
+thread c { x = 1; }
+thread b { local s = x; assert(s == 0); }
+"""
+
+
+def test_blocked_execution_judges_the_asserts_it_reached():
+    # thread a waits for itself forever, after its store: b can read 1
+    program, _ = parse_and_lower(BLOCKED_TEXT)
+    for model in (SC, TSO, PSO, RMO):
+        assert list(violates(program, model).values()) == [True], model
+
+
+def test_thread_created_on_an_untaken_branch_never_runs():
+    # y stays 0, so c is never created and x stays 0
+    program, _ = parse_and_lower(UNCREATED_TEXT)
+    for model in (SC, TSO, PSO, RMO):
+        assert list(violates(program, model).values()) == [False], model
+        assert {dict(ex.final_memory)["x"]
+                for ex in enumerate_executions(program, model)} == {0}

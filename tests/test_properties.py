@@ -34,7 +34,7 @@ from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import (
     Assume, BinOp, Cmp, Const, FlowGraph, Load, LocalAssign, Nop, Store,
-    Var, VarId,
+    Var, VarId, bits,
 )
 from relaxcheck.relations import extract_all
 
@@ -644,7 +644,7 @@ def _skip_rule_4(m):
     def fact_edges_only(ctx, rows, facts, new):
         rows = list(rows)
         for load, source in new:
-            feasibility._insert(rows, ctx._bit[source], 1 << ctx._bit[load])
+            feasibility._insert(rows, source, 1 << load)
         return rows
     m.setattr(FeasibilityContext, "add_facts", fact_edges_only)
 
@@ -652,7 +652,7 @@ def _skip_rule_4(m):
 def _insert_into_row_a_only(m):
     def row_a_only(rows, a, targets):
         rows[a] |= targets
-        for t in feasibility._bits(targets):
+        for t in bits(targets):
             rows[a] |= rows[t]
     m.setattr(feasibility, "_insert", row_a_only)
 
@@ -660,8 +660,8 @@ def _insert_into_row_a_only(m):
 def _drop_join_edges(m):
     deduce_mhb = feasibility.deduce_mhb
     m.setattr(feasibility, "deduce_mhb",
-              lambda bit, store, no_reorder: deduce_mhb(
-                  bit, dataclasses.replace(store, thread_joins=set()),
+              lambda store, no_reorder: deduce_mhb(
+                  dataclasses.replace(store, thread_joins=set()),
                   no_reorder))
 
 

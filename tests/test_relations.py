@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import re
 
 from relaxcheck import analyze_all, parse_and_lower
 from relaxcheck.cli import _relation_dump
-from relaxcheck.ir import Fence, FlowGraph, Membar, Nop
+from relaxcheck.datalog import spec_mhb
+from relaxcheck.feasibility import FeasibilityContext
+from relaxcheck.ir import Fence, FlowGraph, Membar, Nop, Program, validate
 from relaxcheck.relations import RelationStore, extract_all
 
 from conftest import (
@@ -179,7 +182,8 @@ def test_relation_dump_digest_is_pinned():
 
 def test_analyzer_builds_no_pair_set(monkeypatch):
     """analyze_all reads Dominates and NotReachableFrom per node only, and
-    each flow graph computes its dominators once across the four models."""
+    each flow graph computes its dominators and its reach once across the
+    four models."""
     expected = {(name, model): analyzer_result(name, model)
                 for name in CORPUS_FILES for model in MODELS}
 
@@ -187,15 +191,15 @@ def test_analyzer_builds_no_pair_set(monkeypatch):
         raise AssertionError("the analyzer built a pair set")
     monkeypatch.setattr(RelationStore, "dominates", property(refuse))
     monkeypatch.setattr(RelationStore, "not_reachable_from", property(refuse))
-    computed: list[FlowGraph] = []
-    dominators = FlowGraph.dominators.func
-
-    def counted(graph):
-        computed.append(graph)
-        return dominators(graph)
-    counted_property = functools.cached_property(counted)
-    counted_property.__set_name__(FlowGraph, "dominators")
-    monkeypatch.setattr(FlowGraph, "dominators", counted_property)
+    computed: dict[str, list[FlowGraph]] = {}
+    for attr in ("dominators", "reachable"):
+        def counted(graph, compute=getattr(FlowGraph, attr).func,
+                    calls=computed.setdefault(attr, [])):
+            calls.append(graph)
+            return compute(graph)
+        counted_property = functools.cached_property(counted)
+        counted_property.__set_name__(FlowGraph, attr)
+        monkeypatch.setattr(FlowGraph, attr, counted_property)
 
     graphs = []
     for name in CORPUS_FILES:
@@ -203,4 +207,36 @@ def test_analyzer_builds_no_pair_set(monkeypatch):
         for model in MODELS:
             assert analyze_all(program, model) == expected[name, model]
         graphs += program.threads.values()
-    assert sorted(map(id, computed)) == sorted(map(id, graphs))
+    for attr, calls in computed.items():
+        assert sorted(map(id, calls)) == sorted(map(id, graphs)), attr
+
+
+def _with_gaps(program: Program, shift) -> Program:
+    """A copy of the program with every node id n renamed shift(n)."""
+    return Program(
+        dict(program.globals),
+        {name: FlowGraph(name, {shift(n): i for n, i in g.nodes.items()},
+                         shift(g.entry), shift(g.exit),
+                         {(shift(a), shift(b)) for a, b in g.edges})
+         for name, g in program.threads.items()},
+        program.root,
+        {v: shift(n) for v, n in program.init_stores.items()})
+
+
+def test_node_ids_with_gaps_give_the_same_relations():
+    """MHB rows are indexed by node id, so ids with gaps leave rows that
+    stand for no node: the base MHB still equals the rules' MHB, and every
+    relation is the dense program's, renamed."""
+    def unshift(m: re.Match) -> str:
+        return str((int(m[0]) - 2) // 3)
+    for name in CORPUS_FILES:
+        program = corpus_program(name)
+        gapped = _with_gaps(program, lambda n: 3 * n + 2)
+        assert validate(gapped) == []
+        for model in MODELS:
+            ctx = FeasibilityContext(gapped, model)
+            assert ctx.base_mhb == spec_mhb(ctx.store, ctx.no_reorder, set())
+            renamed = re.sub(r"(?<=[(,])\d+(?=[,)])", unshift,
+                             _relation_dump(gapped, model))
+            assert sorted(renamed.splitlines()) == sorted(
+                _relation_dump(program, model).splitlines()), (name, model)
