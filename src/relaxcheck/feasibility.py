@@ -7,7 +7,8 @@ a must-happen-before relation (MHB) and a refuted-data-flow relation
 occur in any concrete execution.  `datalog.py` transcribes the rules as a
 least fixpoint over sets, the specification the tests hold this module to;
 this module evaluates them with a closure over bitsets instead, and reads
-Dominates and NotReachableFrom as per-node masks rather than as pair sets.
+Dominates, NotReachableFrom and NoReorder as one node mask per node: the
+node's dominators, its reach, and the nodes the model keeps before it.
 
 MHB is kept transitively closed as one row per node id, a node mask like
 every per-node node set of the package: bit b of row a means MHB(a, b).
@@ -63,69 +64,58 @@ class FeasibilityResult:
         return self.feasible
 
 
+def _masks_by_var(var_of: dict[int, VarId]) -> dict[VarId, int]:
+    """Per variable, the mask of the nodes that access it."""
+    masks: dict[VarId, int] = {}
+    for n, v in var_of.items():
+        masks[v] = masks.get(v, 0) | 1 << n
+    return masks
+
+
 def compute_no_reorder(model: MemoryModel, store: RelationStore,
-                       program: Program) -> set[tuple[int, int]]:
-    """Same-thread pairs (s1,s2), s1 program-order-before s2, that no
-    execution under the model may reorder.  Fences and the
-    thread-management points are ordered with everything in their thread:
-    create/join act as full barriers, and entry/exit anchor the
-    cross-thread ordering rules."""
-    strong = (store.is_fence | {c for c, _ in store.thread_creates}
-              | {j for j, _ in store.thread_joins})
-    pairs: set[tuple[int, int]] = set()
-    for name in sorted(program.threads):
-        g = program.threads[name]
-        interesting = []
-        for n in sorted(g.nodes):
-            kind = ("L" if n in store.load_var
-                    else "S" if n in store.store_var else None)
-            c = (kind, store.load_var.get(n, store.store_var.get(n)),
-                 n in strong or n in (g.entry, g.exit))
-            if kind is not None or c[2]:
-                interesting.append((n, c, 1 << n))
-        for s1, c1, bit1 in interesting:
-            # s1 must be able to precede s2 in program order
-            after = store.reach[s1] & ~bit1
-            for s2, c2, bit2 in interesting:
-                if after & bit2 and _base_no_reorder(model, c1, c2):
-                    pairs.add((s1, s2))
-    pairs |= _membar_pairs(store)
-    return pairs
+                       program: Program) -> tuple[int, ...]:
+    """NoReorder as one node mask per node id up to the largest: bit a of
+    mask b says that the model keeps a before b whenever a comes before b
+    in program order, which the mask does not test.  Fences, create/join
+    (full barriers) and each thread's entry/exit are kept with everything;
+    a membar of kind k1k2 that dominates an access b of kind k2 keeps
+    before b every access of kind k1 that dominates the membar."""
+    loads_of = _masks_by_var(store.load_var)
+    stores_of = _masks_by_var(store.store_var)
+    of_kind = {"L": sum(loads_of.values()), "S": sum(stores_of.values())}
+    loads, accesses = of_kind["L"], of_kind["L"] | of_kind["S"]
+    barriers = {n for n, _ in store.thread_creates | store.thread_joins}
+    ends = {n for g in program.threads.values() for n in (g.entry, g.exit)}
+    strong = sum(1 << n for n in store.is_fence | barriers | ends)
+    membars = {kind: sum(1 << m for m in members)
+               for kind, members in store.membars.items()}
+    kept = [0] * (max(store.thread_of) + 1)
+    for b in bits(accesses | strong):
+        if strong >> b & 1:
+            kept[b] = accesses | strong
+            continue
+        kind = "L" if loads >> b & 1 else "S"
+        var = store.load_var[b] if kind == "L" else store.store_var[b]
+        own_loads, own_stores = loads_of.get(var, 0), stores_of.get(var, 0)
+        # what the model keeps before a load b and before a store b: TSO
+        # relaxes store->load only (same variable too: the buffer
+        # forwards), PSO also store->store on two variables, and RMO keeps
+        # only same-variable pairs, except store->load
+        keep = {MemoryModel.SC: (accesses, accesses),
+                MemoryModel.TSO: (loads, accesses),
+                MemoryModel.PSO: (loads, loads | own_stores),
+                MemoryModel.RMO: (own_loads, own_loads | own_stores),
+                }[model][kind == "S"]
+        for first in "LS":
+            for m in bits(store.dominators[b] & membars[first + kind]):
+                keep |= store.dominators[m] & of_kind[first]
+        kept[b] = keep | strong
+    return tuple(kept)
 
 
-def _base_no_reorder(model: MemoryModel, c1, c2) -> bool:
-    """Whether the model keeps s1 before s2, from their (access kind,
-    variable, strong)."""
-    (k1, v1, strong1), (k2, v2, strong2) = c1, c2
-    if strong1 or strong2:
-        return True
-    if k1 is None or k2 is None:
-        return False
-    if model is MemoryModel.SC:
-        return True
-    if model is MemoryModel.TSO:
-        # only store->load pairs may be reordered (incl. same variable,
-        # which the store buffer forwards)
-        return k1 == "L" or k2 == "S"
-    if model is MemoryModel.PSO:
-        return k1 == "L" or (k1 == "S" and k2 == "S" and v1 == v2)
-    # RMO keeps only same-variable pairs, except store->load (forwarding)
-    return v1 == v2 and not (k1 == "S" and k2 == "L")
-
-
-def _membar_pairs(store: RelationStore) -> set[tuple[int, int]]:
-    """(s1, s2) with s1 dominating a membar of kind k1k2 that dominates
-    s2, s1 of access kind k1 and s2 of access kind k2."""
-    of_kind = {"L": store.load_var, "S": store.store_var}
-    firsts = {k: sum(1 << n for n in nodes) for k, nodes in of_kind.items()}
-    pairs: set[tuple[int, int]] = set()
-    for kind, members in store.membars.items():
-        membars = sum(1 << m for m in members)
-        for s2 in of_kind[kind[1]]:
-            for m in bits(store.dominators[s2] & membars):
-                pairs.update((s1, s2) for s1 in
-                             bits(store.dominators[m] & firsts[kind[0]]))
-    return pairs
+def node_pairs(masks: Sequence[int]) -> set[tuple[int, int]]:
+    """The (n, m) pairs with bit m set in the mask of node n."""
+    return {(n, m) for n, mask in enumerate(masks) for m in bits(mask)}
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +138,17 @@ def _insert(rows: list[int], a: int, targets: int) -> None:
 
 
 def deduce_mhb(store: RelationStore,
-               no_reorder: set[tuple[int, int]]) -> tuple[int, ...]:
+               no_reorder: Sequence[int]) -> tuple[int, ...]:
     """MHB rows under no reads-from facts, one per node id up to the
-    largest: the closure of the edges of rules (1) and (2)."""
-    edges = (store.thread_creates
-             | {(x, j) for j, x in store.thread_joins}
-             | {(a, b) for a, b in no_reorder
-                if (store.dominators[b] & ~store.reach[b]) >> a & 1})
+    largest: the closure of the edges of rules (1) and (2).  Dominance
+    implies program order, so rule (2) reads NoReorder's masks directly."""
     targets: dict[int, int] = {}
-    for a, b in edges:
+    joins = {(x, j) for j, x in store.thread_joins}
+    for a, b in store.thread_creates | joins:
         targets[a] = targets.get(a, 0) | 1 << b
+    for b, doms in store.dominators.items():
+        for a in bits(doms & ~store.reach[b] & no_reorder[b]):
+            targets[a] = targets.get(a, 0) | 1 << b
     rows = [0] * (max(store.thread_of) + 1)
     for a in sorted(targets):
         _insert(rows, a, targets[a])
@@ -176,33 +167,32 @@ class FeasibilityContext:
         self.program = program
         self.model = model
         self.store = store if store is not None else extract_all(program)
-        self.no_reorder = compute_no_reorder(model, self.store, program)
-        self._stores_of: dict[VarId, int] = {}
-        for s, v in self.store.store_var.items():
-            self._stores_of[v] = self._stores_of.get(v, 0) | 1 << s
+        self.kept = compute_no_reorder(model, self.store, program)
+        self._loads_of = _masks_by_var(self.store.load_var)
+        self._stores_of = _masks_by_var(self.store.store_var)
         # MHB under no reads-from assumptions; every query starts from it
-        self._base_rows = deduce_mhb(self.store, self.no_reorder)
-        # per load: the init store, when no same-thread store to its
-        # variable can reach it (otherwise the sequential value may be a
+        self._base_rows = deduce_mhb(self.store, self.kept)
+        # per load: the init store, when no store to its variable reaches
+        # it (only an own store can; else the sequential value may be a
         # forwarded own write, and no single source can be asserted)
-        own_stores: dict[tuple[str, VarId], list[int]] = {}
-        for s, v in self.store.store_var.items():
-            own_stores.setdefault((self.store.thread_of[s], v), []).append(s)
         self._init_source: dict[int, int | None] = {}
         for l, v in self.store.load_var.items():
-            own = own_stores.get((self.store.thread_of[l], v), ())
-            forwarded = any(self.store.reach[s] >> l & 1 for s in own)
+            forwarded = any(self.store.reach[s] >> l & 1
+                            for s in bits(self._stores_of.get(v, 0)))
             self._init_source[l] = (None if forwarded
                                     else program.init_stores.get(v))
         self._cache: dict[frozenset, FeasibilityResult] = {}
 
+    # Pair-set views, for the dump and the Datalog spec
+    @cached_property
+    def no_reorder(self) -> set[tuple[int, int]]:
+        """(a, b) iff a != b, a reaches b and the model keeps a before b."""
+        return {(a, b) for b, a in node_pairs(self.kept)
+                if a != b and self.store.reach[a] >> b & 1}
+
     @cached_property
     def base_mhb(self) -> set[tuple[int, int]]:
-        return self.mhb_pairs(self._base_rows)
-
-    def mhb_pairs(self, rows: Sequence[int]) -> set[tuple[int, int]]:
-        """The MHB relation the rows encode, as (node, node) pairs."""
-        return {(a, b) for a, row in enumerate(rows) for b in bits(row)}
+        return node_pairs(self._base_rows)
 
     # -- building reads-from fact sets -------------------------------------
     def fact(self, load: int, source: int | None) -> Fact | None:
@@ -277,9 +267,9 @@ class FeasibilityContext:
             return True
         # (6) another load of var read the store, and a store to var lies
         #     between that load and this one
-        same_var = self._stores_of[var]
+        same_var, var_loads = self._stores_of[var], self._loads_of[var]
         for first, read in facts:
-            if read == source and self.store.load_var.get(first) == var:
+            if read == source and var_loads >> first & 1:
                 for s2 in bits(rows[first] & same_var):
                     if rows[s2] >> load & 1:
                         return True

@@ -1,6 +1,7 @@
 """Shared fixtures: corpus discovery, cached analyzer/oracle results, two
-generated program families, the per-component combination product and one
-flow graph's Dominates and NotReachableFrom pair sets.
+generated program families, the per-component combination product, one
+flow graph's Dominates and NotReachableFrom pair sets and a program's copy
+with gaps in its node ids.
 
 Analyzer and oracle runs are memoized per (program, model) so the property
 suites and the acceptance gate can sample them repeatedly without re-paying
@@ -16,6 +17,7 @@ import pytest
 
 from relaxcheck import MemoryModel, analyze_all, parse_and_lower
 from relaxcheck.analysis import collect_candidates, interference_components
+from relaxcheck.ir import FlowGraph, Program
 from relaxcheck.oracle import enumerate_executions, violates
 from relaxcheck.relations import RelationStore
 
@@ -64,6 +66,18 @@ def not_reachable_from(graph) -> set[tuple[int, int]]:
     return RelationStore(reach=graph.reachable,
                          thread_of=dict.fromkeys(graph.nodes, graph.thread)
                          ).not_reachable_from
+
+
+def with_gaps(program: Program, shift) -> Program:
+    """A copy of the program with every node id n renamed shift(n)."""
+    return Program(
+        dict(program.globals),
+        {name: FlowGraph(name, {shift(n): i for n, i in g.nodes.items()},
+                         shift(g.entry), shift(g.exit),
+                         {(shift(a), shift(b)) for a, b in g.edges})
+         for name, g in program.threads.items()},
+        program.root,
+        {v: shift(n) for v, n in program.init_stores.items()})
 
 
 def component_loads(prog, relstore):

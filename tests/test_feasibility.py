@@ -7,7 +7,6 @@ import pytest
 from relaxcheck.analysis import collect_candidates
 from relaxcheck.feasibility import (
     ContractViolation, FeasibilityContext, MemoryModel, check_feasible,
-    compute_no_reorder,
 )
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Load, Store
@@ -41,7 +40,7 @@ def _store_of(prog, thread: str, var: str, which: int = 0) -> int:
 
 def _no_reorder(name: str, model: MemoryModel):
     prog = corpus_program(name)
-    return prog, compute_no_reorder(model, extract_all(prog), prog)
+    return prog, FeasibilityContext(prog, model).no_reorder
 
 
 def test_tso_keeps_store_load_same_variable_relaxed():
@@ -102,10 +101,8 @@ def test_model_inclusion_chain_on_no_reorder():
     for name in ("fig1_nofence.lit", "fig2_fence.lit", "fig7.lit"):
         prog = corpus_program(name)
         store = extract_all(prog)
-        rmo = compute_no_reorder(RMO, store, prog)
-        pso = compute_no_reorder(PSO, store, prog)
-        tso = compute_no_reorder(TSO, store, prog)
-        sc = compute_no_reorder(SC, store, prog)
+        rmo, pso, tso, sc = (FeasibilityContext(prog, model, store).no_reorder
+                             for model in (RMO, PSO, TSO, SC))
         assert rmo <= pso <= tso <= sc
 
 

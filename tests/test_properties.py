@@ -7,10 +7,11 @@ monotonicity and soundness on singletons, per-model relation inclusion
 chains, fact monotonicity of the feasibility engine and of the rules'
 specification, the bitset feasibility engine and its depth-first
 enumeration against the rules they implement (and four engine mutants the
-comparisons must catch), dominator
-equivalence against a brute-force oracle, flow-graph adjacency, loop nodes
-and NotReachableFrom against edge-scan references, oracle behavior
-inclusion, verdict monotonicity across models, and run determinism.
+comparisons must catch), dominator equivalence against a brute-force
+oracle, NoReorder against its pair-set reference (and two mutants it must
+catch), flow-graph adjacency, loop nodes and NotReachableFrom against
+edge-scan references, oracle behavior inclusion, verdict monotonicity
+across models, and run determinism.
 """
 from __future__ import annotations
 
@@ -33,15 +34,15 @@ from relaxcheck.domain import (
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import (
-    Assume, BinOp, Cmp, Const, FlowGraph, Load, LocalAssign, Nop, Store,
-    Var, VarId, bits,
+    MEMBAR_KINDS, Assume, BinOp, Cmp, Const, Fence, FlowGraph, Load,
+    LocalAssign, Membar, Nop, Program, Store, Var, VarId, bits,
 )
 from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
     dominates, mp_text, not_reachable_from, oracle_behaviors, product,
-    ring_text,
+    ring_text, with_gaps,
 )
 
 MANY = settings(max_examples=200, deadline=None,
@@ -74,6 +75,7 @@ def intervals(draw) -> Interval:
 
 
 X = VarId("x")
+Y = VarId("y")
 A = VarId("a", "t")
 B = VarId("b", "t")
 VARS = (X, A, B)
@@ -439,7 +441,7 @@ def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
     mnrf = {(l, s) for l, lv in ctx.store.is_load
             for s, sv in ctx.store.is_store
             if lv == sv and ctx.must_not_read_from(rows, rf, l, s)}
-    return ctx.mhb_pairs(rows), mnrf
+    return feasibility.node_pairs(rows), mnrf
 
 
 def _seeds(rf: frozenset) -> set:
@@ -724,6 +726,143 @@ def _brute_dominates(graph: FlowGraph):
 @given(small_graphs())
 def test_dominates_equals_brute_force(graph):
     assert dominates(graph) == _brute_dominates(graph)
+
+
+# ---------------------------------------------------------------------------
+# NoReorder masks vs. the pair-set reference
+# ---------------------------------------------------------------------------
+
+def _reference_no_reorder(model: MemoryModel, store, program
+                          ) -> set[tuple[int, int]]:
+    """Same-thread pairs (s1,s2), s1 program-order-before s2, that no
+    execution under the model may reorder.  Fences and the
+    thread-management points are ordered with everything in their thread:
+    create/join act as full barriers, and entry/exit anchor the
+    cross-thread ordering rules."""
+    strong = (store.is_fence | {c for c, _ in store.thread_creates}
+              | {j for j, _ in store.thread_joins})
+    pairs: set[tuple[int, int]] = set()
+    for name in sorted(program.threads):
+        g = program.threads[name]
+        interesting = []
+        for n in sorted(g.nodes):
+            kind = ("L" if n in store.load_var
+                    else "S" if n in store.store_var else None)
+            c = (kind, store.load_var.get(n, store.store_var.get(n)),
+                 n in strong or n in (g.entry, g.exit))
+            if kind is not None or c[2]:
+                interesting.append((n, c, 1 << n))
+        for s1, c1, bit1 in interesting:
+            # s1 must be able to precede s2 in program order
+            after = store.reach[s1] & ~bit1
+            for s2, c2, bit2 in interesting:
+                if after & bit2 and _base_no_reorder(model, c1, c2):
+                    pairs.add((s1, s2))
+    pairs |= _membar_pairs(store)
+    return pairs
+
+
+def _base_no_reorder(model: MemoryModel, c1, c2) -> bool:
+    """Whether the model keeps s1 before s2, from their (access kind,
+    variable, strong)."""
+    (k1, v1, strong1), (k2, v2, strong2) = c1, c2
+    if strong1 or strong2:
+        return True
+    if k1 is None or k2 is None:
+        return False
+    if model is MemoryModel.SC:
+        return True
+    if model is MemoryModel.TSO:
+        # only store->load pairs may be reordered (incl. same variable,
+        # which the store buffer forwards)
+        return k1 == "L" or k2 == "S"
+    if model is MemoryModel.PSO:
+        return k1 == "L" or (k1 == "S" and k2 == "S" and v1 == v2)
+    # RMO keeps only same-variable pairs, except store->load (forwarding)
+    return v1 == v2 and not (k1 == "S" and k2 == "L")
+
+
+def _membar_pairs(store) -> set[tuple[int, int]]:
+    """(s1, s2) with s1 dominating a membar of kind k1k2 that dominates
+    s2, s1 of access kind k1 and s2 of access kind k2."""
+    of_kind = {"L": store.load_var, "S": store.store_var}
+    firsts = {k: sum(1 << n for n in nodes) for k, nodes in of_kind.items()}
+    pairs: set[tuple[int, int]] = set()
+    for kind, members in store.membars.items():
+        membars = sum(1 << m for m in members)
+        for s2 in of_kind[kind[1]]:
+            for m in bits(store.dominators[s2] & membars):
+                pairs.update((s1, s2) for s1 in
+                             bits(store.dominators[m] & firsts[kind[0]]))
+    return pairs
+
+
+def _check_no_reorder(program: Program, models=MODELS) -> None:
+    """The context's NoReorder view equals the reference, pair for pair."""
+    store = extract_all(program)
+    for model in models:
+        assert FeasibilityContext(program, model, store).no_reorder \
+            == _reference_no_reorder(model, store, program), model
+
+
+def _check_no_reorder_on_corpus() -> None:
+    for name in CORPUS_FILES:
+        program = corpus_program(name)
+        _check_no_reorder(program)
+        _check_no_reorder(with_gaps(program, lambda n: 3 * n + 2))
+
+
+_INSTRS = st.one_of(
+    st.sampled_from([Load(A, X), Load(B, Y), Store(X, Const(1)),
+                     Store(Y, Const(2)), Fence(), Nop()]),
+    st.sets(st.sampled_from(MEMBAR_KINDS), min_size=1).map(
+        lambda kinds: Membar(frozenset(kinds))))
+
+
+@st.composite
+def access_programs(draw) -> Program:
+    """One thread on a `small_graphs` graph (loops and branches included)
+    whose nodes load, store, fence or membar over two variables."""
+    graph = draw(small_graphs())
+    nodes = {n: draw(_INSTRS) for n in graph.nodes}
+    return Program({X: 0, Y: 0},
+                   {"t": FlowGraph("t", nodes, graph.entry, graph.exit,
+                                   graph.edges)}, "t")
+
+
+def test_no_reorder_equals_reference_on_corpus():
+    _check_no_reorder_on_corpus()
+
+
+@MANY
+@given(access_programs(), st.sampled_from(MODELS))
+def test_no_reorder_equals_reference_on_random_graphs(program, model):
+    _check_no_reorder(program, [model])
+
+
+def _drop_membar_part(m):
+    compute = feasibility.compute_no_reorder
+    m.setattr(feasibility, "compute_no_reorder",
+              lambda model, store, program: compute(
+                  model, dataclasses.replace(
+                      store, membars=dict.fromkeys(store.membars, set())),
+                  program))
+
+
+def _pso_table_under_tso(m):
+    compute = feasibility.compute_no_reorder
+    m.setattr(feasibility, "compute_no_reorder",
+              lambda model, store, program: compute(
+                  MemoryModel.PSO if model is MemoryModel.TSO else model,
+                  store, program))
+
+
+@pytest.mark.parametrize("mutant", [_drop_membar_part, _pso_table_under_tso],
+                         ids=lambda mutant: mutant.__name__.strip("_"))
+def test_no_reorder_reference_catches_mutants(mutant, monkeypatch):
+    mutant(monkeypatch)
+    with pytest.raises(AssertionError):
+        _check_no_reorder_on_corpus()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from relaxcheck import analyze_all, parse_and_lower
 from relaxcheck.cli import _relation_dump
 from relaxcheck.datalog import spec_mhb
 from relaxcheck.feasibility import FeasibilityContext
-from relaxcheck.ir import Fence, FlowGraph, Membar, Nop, Program, validate
+from relaxcheck.ir import Fence, FlowGraph, Membar, Nop, validate
 from relaxcheck.relations import RelationStore, extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
-    dominates, not_reachable_from,
+    dominates, not_reachable_from, with_gaps,
 )
 
 
@@ -181,16 +181,19 @@ def test_relation_dump_digest_is_pinned():
 
 
 def test_analyzer_builds_no_pair_set(monkeypatch):
-    """analyze_all reads Dominates and NotReachableFrom per node only, and
-    each flow graph computes its dominators and its reach once across the
-    four models."""
+    """analyze_all reads Dominates, NotReachableFrom, NoReorder and MHB per
+    node only, and each flow graph computes its dominators and its reach
+    once across the four models."""
     expected = {(name, model): analyzer_result(name, model)
                 for name in CORPUS_FILES for model in MODELS}
 
-    def refuse(store):
+    def refuse(instance):
         raise AssertionError("the analyzer built a pair set")
-    monkeypatch.setattr(RelationStore, "dominates", property(refuse))
-    monkeypatch.setattr(RelationStore, "not_reachable_from", property(refuse))
+    for owner, attr in ((RelationStore, "dominates"),
+                        (RelationStore, "not_reachable_from"),
+                        (FeasibilityContext, "no_reorder"),
+                        (FeasibilityContext, "base_mhb")):
+        monkeypatch.setattr(owner, attr, property(refuse))
     computed: dict[str, list[FlowGraph]] = {}
     for attr in ("dominators", "reachable"):
         def counted(graph, compute=getattr(FlowGraph, attr).func,
@@ -211,18 +214,6 @@ def test_analyzer_builds_no_pair_set(monkeypatch):
         assert sorted(map(id, calls)) == sorted(map(id, graphs)), attr
 
 
-def _with_gaps(program: Program, shift) -> Program:
-    """A copy of the program with every node id n renamed shift(n)."""
-    return Program(
-        dict(program.globals),
-        {name: FlowGraph(name, {shift(n): i for n, i in g.nodes.items()},
-                         shift(g.entry), shift(g.exit),
-                         {(shift(a), shift(b)) for a, b in g.edges})
-         for name, g in program.threads.items()},
-        program.root,
-        {v: shift(n) for v, n in program.init_stores.items()})
-
-
 def test_node_ids_with_gaps_give_the_same_relations():
     """MHB rows are indexed by node id, so ids with gaps leave rows that
     stand for no node: the base MHB still equals the rules' MHB, and every
@@ -231,7 +222,7 @@ def test_node_ids_with_gaps_give_the_same_relations():
         return str((int(m[0]) - 2) // 3)
     for name in CORPUS_FILES:
         program = corpus_program(name)
-        gapped = _with_gaps(program, lambda n: 3 * n + 2)
+        gapped = with_gaps(program, lambda n: 3 * n + 2)
         assert validate(gapped) == []
         for model in MODELS:
             ctx = FeasibilityContext(gapped, model)
