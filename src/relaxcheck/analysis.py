@@ -112,51 +112,58 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     `pinned` reads the given interval instead of its sequential value, a
     load in `joined` reads its sequential value joined with the given
     interval, and every other load reads its sequential value.  Both maps
-    may hold loads of other threads (node ids are unique across graphs).
-    Widening at cycle nodes after 2 visits.
+    hold loads only, and may hold loads of other threads (node ids are
+    unique across graphs).  Widening at cycle nodes after 2 visits.
 
-    A visit makes one pointwise pass over the node's env: `old.join(out)`,
-    or at a cycle node past 2 visits `old.widen(out)`, which equals
-    `old.widen(old.join(out))` pointwise (bottom and one-sided variables
-    included).  The lattice operations return `old` itself when nothing
-    changed, so `new is old` ends an unchanged visit without a `leq`."""
+    A visit must keep three things, which the tests and the benchmark's
+    counters rely on: the FIFO worklist from the entry (a node is queued at
+    most once at a time), `transfer` called through the module global, and
+    `old.join(out)` (or, at a cycle node past 2 visits, `old.widen(out)`)
+    called as methods.  The widening equals `old.widen(old.join(out))`
+    pointwise (bottom and one-sided variables included), so a visit makes
+    one pointwise pass, and the lattice operations return `old` itself
+    when nothing changed, so `new is old` ends an unchanged visit without
+    a `leq`.  The graph's structure and the worklist's methods are bound to
+    locals once per call."""
     joined = joined or {}
-    cycles = graph.loop_nodes
-    post: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
-                                    for n in graph.nodes}
-    visits: dict[int, int] = {n: 0 for n in graph.nodes}
-    worklist = deque([graph.entry])
-    in_list = {graph.entry}
+    nodes, entry, cycles = graph.nodes, graph.entry, graph.loop_nodes
+    succ, pred = graph.adjacency
+    post = dict.fromkeys(nodes, AbstractEnv.bottom())
+    visits = dict.fromkeys(nodes, 0)
+    worklist = deque([entry])
+    in_list = {entry}
+    pop, push = worklist.popleft, worklist.append
+    enter, leave = in_list.add, in_list.discard
     while worklist:
-        n = worklist.popleft()
-        in_list.discard(n)
-        instr = graph.nodes[n]
-        if n == graph.entry:
+        n = pop()
+        leave(n)
+        instr = nodes[n]
+        if n == entry:
             inp = init_env
         else:
-            preds = graph.predecessors(n)
+            preds = pred[n]
             inp = post[preds[0]]
             for p in preds[1:]:
                 inp = inp.join(post[p])
-        if isinstance(instr, Load) and not inp.is_bottom:
+        if (n in pinned or n in joined) and not inp.is_bottom:
             if n in pinned:
                 inp = inp.set(instr.src, pinned[n])
             if n in joined:
                 inp = inp.set(instr.src, inp.get(instr.src).join(joined[n]))
         out = transfer(instr, inp)
-        visits[n] += 1
+        visits[n] = count = visits[n] + 1
         old = post[n]
-        if n in cycles and visits[n] > 2:
+        if count > 2 and n in cycles:
             new = old.widen(out)
         else:
             new = old.join(out)
         # new is old joined (or widened) with out, so old <= new
         if new is not old and not new.leq(old):
             post[n] = new
-            for s in graph.successors(n):
+            for s in succ.get(n, ()):
                 if s not in in_list:
-                    in_list.add(s)
-                    worklist.append(s)
+                    enter(s)
+                    push(s)
     return post
 
 

@@ -15,9 +15,10 @@ every per-node node set of the package: bit b of row a means MHB(a, b).
 Adding the edges a -> T keeps the rows closed in one pass, with no
 Warshall step: a, and every row that has bit a, gains T and the rows of T.
 The rows under no reads-from facts (rules (1)-(3)) are built once per
-context.  `add_facts` closes rows under more facts: it adds each new fact's
-store -> load edge and applies rule (4) until nothing changes.  Both ways
-of asking use it and `must_not_read_from` (rules (5) and (6)):
+context, as the least fixpoint of their edges (`deduce_mhb`).  `add_facts`
+closes rows under more facts: it adds each new fact's store -> load edge
+and applies rule (4) until nothing changes.  Both ways of asking use it
+and `must_not_read_from` (rules (5) and (6)):
 
 - `check_facts` decides one fact set from the base rows.
 - `extend` is one step of a depth-first enumeration: it adds a single fact
@@ -137,6 +138,41 @@ def _insert(rows: list[int], a: int, targets: int) -> None:
             rows[i] = row | add
 
 
+def _closure(targets: dict[int, int], size: int) -> list[int]:
+    """The transitive closure of the edges a -> t for every bit t of
+    targets[a], as `size` rows: the least fixpoint of rows[a] = targets[a]
+    | OR of rows[t] over the targets t of a.
+
+    The sources are swept by descending id until no row changes.  A row is
+    settled once it is computed from settled rows only (a node without
+    targets has the settled row 0): it is then final and closed, so later
+    sweeps skip it, and no target inside it needs its own row read.  Edges
+    mostly point to higher ids, so most rows settle in the first sweep;
+    the rest (an edge to a lower id, or a cycle) are swept again."""
+    rows = [0] * size
+    unsettled = sum(1 << a for a in targets)
+    sweep = sorted(targets, reverse=True)
+    while sweep:
+        again, changed = [], False
+        for a in sweep:
+            row = rest = targets[a]
+            while rest:
+                low = rest & -rest
+                t = low.bit_length() - 1
+                row |= rows[t]
+                rest ^= low
+                if not unsettled & low:
+                    rest &= ~rows[t]
+            if row != rows[a]:
+                rows[a], changed = row, True
+            if targets[a] & unsettled:
+                again.append(a)
+            else:
+                unsettled ^= 1 << a
+        sweep = again if changed else []
+    return rows
+
+
 def deduce_mhb(store: RelationStore,
                no_reorder: Sequence[int]) -> tuple[int, ...]:
     """MHB rows under no reads-from facts, one per node id up to the
@@ -149,10 +185,7 @@ def deduce_mhb(store: RelationStore,
     for b, doms in store.dominators.items():
         for a in bits(doms & ~store.reach[b] & no_reorder[b]):
             targets[a] = targets.get(a, 0) | 1 << b
-    rows = [0] * (max(store.thread_of) + 1)
-    for a in sorted(targets):
-        _insert(rows, a, targets[a])
-    return tuple(rows)
+    return tuple(_closure(targets, max(store.thread_of) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +219,12 @@ class FeasibilityContext:
     # Pair-set views, for the dump and the Datalog spec
     @cached_property
     def no_reorder(self) -> set[tuple[int, int]]:
-        """(a, b) iff a != b, a reaches b and the model keeps a before b."""
-        return {(a, b) for b, a in node_pairs(self.kept)
-                if a != b and self.store.reach[a] >> b & 1}
+        """(a, b) iff a != b, a reaches b and the model keeps a before b:
+        the bits of `kept[b]` among b's ancestors."""
+        ancestors = {n: anc for g in self.program.threads.values()
+                     for n, anc in g.ancestors.items()}
+        return {(a, b) for b, kept in enumerate(self.kept)
+                for a in bits(kept & ancestors.get(b, 0) & ~(1 << b))}
 
     @cached_property
     def base_mhb(self) -> set[tuple[int, int]]:

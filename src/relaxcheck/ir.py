@@ -5,9 +5,9 @@ thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
 A flow graph builds its adjacency lists, reachability closure, strict
-dominators and loop nodes once.  Every per-node node set of the package is
-an int mask indexed by node id: bit n stands for node n, and `bits` lists
-the nodes of a mask.
+dominators and loop nodes once (and its ancestors, for the NoReorder
+view).  Every per-node node set of the package is an int mask indexed by
+node id: bit n stands for node n, and `bits` lists the nodes of a mask.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 ROOT_THREAD = "__root__"
 EPILOGUE_THREAD = "__epilogue__"
@@ -25,23 +25,16 @@ EPILOGUE_THREAD = "__epilogue__"
 # Variables, expressions, conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarId:
-    """A variable: global (owner is None) or local to one thread.  Its hash
-    is computed once; equality and repr use the fields alone."""
+class VarId(NamedTuple):
+    """A variable: global (owner is None) or local to one thread.  A named
+    tuple, so the dict probes of every env operation hash and compare it in
+    C.  Its hash is the hash of the tuple (name, owner), so dict and set
+    orders are those of the fields; a pickled VarId is rebuilt from its
+    fields and rehashed where it is loaded, since str hashes differ between
+    processes.  Its repr is `VarId(name=..., owner=...)`, and it equals the
+    plain tuple (name, owner)."""
     name: str
     owner: str | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.owner)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild (and rehash) from the fields: str hashes differ per process
-        return VarId, (self.name, self.owner)
 
     @property
     def is_global(self) -> bool:
@@ -236,9 +229,9 @@ Instruction = (
 
 @dataclass
 class FlowGraph:
-    """One thread's flow graph.  Adjacency, reachability, dominators and loop
-    nodes are built on first use and never rebuilt, so nodes and edges are
-    fixed from then on."""
+    """One thread's flow graph.  Adjacency, reachability, ancestors,
+    dominators and loop nodes are built on first use and never rebuilt, so
+    nodes and edges are fixed from then on."""
     thread: str
     nodes: dict[int, Instruction]
     entry: int
@@ -246,8 +239,9 @@ class FlowGraph:
     edges: set[tuple[int, int]]
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """(successors, predecessors) of each node, in ascending order."""
+    def adjacency(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """(successors, predecessors) of each node, in ascending order; a
+        node with none has no entry."""
         succ: dict[int, tuple[int, ...]] = {}
         pred: dict[int, tuple[int, ...]] = {}
         for a, b in sorted(self.edges):
@@ -256,10 +250,10 @@ class FlowGraph:
         return succ, pred
 
     def successors(self, n: int) -> tuple[int, ...]:
-        return self._adjacency[0].get(n, ())
+        return self.adjacency[0].get(n, ())
 
     def predecessors(self, n: int) -> tuple[int, ...]:
-        return self._adjacency[1].get(n, ())
+        return self.adjacency[1].get(n, ())
 
     @cached_property
     def reachable(self) -> dict[int, int]:
@@ -274,6 +268,20 @@ class FlowGraph:
                     reach[n] |= 1 << s | reach[s]
             if reach == before:
                 return reach
+
+    @cached_property
+    def ancestors(self) -> dict[int, int]:
+        """The mask of the nodes that reach each node through one or more
+        edges: the forward dataflow anc[n] = OR over predecessors p of
+        {p} | anc[p], iterated over ascending node ids until stable."""
+        anc = dict.fromkeys(sorted(self.nodes), 0)
+        while True:
+            before = dict(anc)
+            for n in anc:
+                for p in self.predecessors(n):
+                    anc[n] |= 1 << p | anc[p]
+            if anc == before:
+                return anc
 
     @cached_property
     def dominators(self) -> dict[int, int]:

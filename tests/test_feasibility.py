@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from relaxcheck import feasibility
 from relaxcheck.analysis import collect_candidates
 from relaxcheck.feasibility import (
     ContractViolation, FeasibilityContext, MemoryModel, check_feasible,
 )
 from relaxcheck.frontend import parse_and_lower
-from relaxcheck.ir import Load, Store
+from relaxcheck.ir import Load, Store, bits
 from relaxcheck.relations import extract_all
 
-from conftest import CORPUS_FILES, corpus_program
+from conftest import CORPUS_FILES, corpus_program, with_gaps
 
 SC, TSO, PSO, RMO = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
                      MemoryModel.RMO)
@@ -231,6 +232,71 @@ def test_create_join_edges_enter_mhb():
                if type(root.nodes[n]).__name__ == "ThreadCreate"]
     t1 = prog.threads["t1"]
     assert any((c, t1.entry) in ctx.base_mhb for c in creates)
+
+
+def _reference_deduce_mhb(store, no_reorder) -> tuple[int, ...]:
+    """The base MHB rows built one source at a time in ascending order:
+    `_insert` adds a source's targets, and their rows, to the source's row
+    and to every row that has the source."""
+    targets: dict[int, int] = {}
+    joins = {(x, j) for j, x in store.thread_joins}
+    for a, b in store.thread_creates | joins:
+        targets[a] = targets.get(a, 0) | 1 << b
+    for b, doms in store.dominators.items():
+        for a in bits(doms & ~store.reach[b] & no_reorder[b]):
+            targets[a] = targets.get(a, 0) | 1 << b
+    rows = [0] * (max(store.thread_of) + 1)
+    for a in sorted(targets):
+        feasibility._insert(rows, a, targets[a])
+    return tuple(rows)
+
+
+# A thread that joins its child before creating it: join -> create (rule
+# (2): both are barriers), create -> child entry -> child exit -> join, so
+# the base MHB has a cycle through both threads.
+JOIN_BEFORE_CREATE = """
+global x = 0, y = 0;
+
+thread main {
+  x = 5;
+  join(w);
+  create(w);
+  local a = y;
+  assert(a == 9);
+}
+
+thread w {
+  local b = x;
+  y = b + 4;
+}
+"""
+
+
+def _assert_base_mhb_equals_reference(prog, model):
+    ctx = FeasibilityContext(prog, model)
+    rows = feasibility.deduce_mhb(ctx.store, ctx.kept)
+    assert rows == _reference_deduce_mhb(ctx.store, ctx.kept), model
+    return rows
+
+
+def test_base_mhb_equals_per_source_reference():
+    for name in CORPUS_FILES:
+        program = corpus_program(name)
+        gapped = with_gaps(program, lambda n: 3 * n + 2)
+        for model in (SC, TSO, PSO, RMO):
+            _assert_base_mhb_equals_reference(program, model)
+            _assert_base_mhb_equals_reference(gapped, model)
+
+
+def test_base_mhb_closes_a_cycle_like_the_reference():
+    prog, _ = parse_and_lower(JOIN_BEFORE_CREATE)
+    main, w = prog.threads["main"], prog.threads["w"]
+    for model, pairs in zip((SC, TSO, PSO, RMO), (141, 141, 140, 140)):
+        rows = _assert_base_mhb_equals_reference(prog, model)
+        assert sum(row.bit_count() for row in rows) == pairs, model
+        # every node on the cycle happens before itself
+        assert rows[w.entry] >> w.entry & 1 and rows[w.exit] >> w.exit & 1
+        assert not rows[main.entry] >> main.entry & 1
 
 
 def test_infeasible_witness_is_member_of_facts():

@@ -1,6 +1,13 @@
 """Structural checks on the program representation and its validator."""
 from __future__ import annotations
 
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
+import relaxcheck
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import (
     Assert, Cmp, Const, FlowGraph, Load, Nop, Program, Store, ThreadCreate,
@@ -135,3 +142,48 @@ def test_loads_and_stores_name_exactly_one_global():
                     assert instr.src.is_global and not instr.dst.is_global
                 if isinstance(instr, Store):
                     assert instr.dst.is_global
+
+
+# ---------------------------------------------------------------------------
+# VarId: hashing, equality and pickling
+# ---------------------------------------------------------------------------
+
+def test_varid_built_apart_finds_its_dict_entry():
+    # names built at run time are distinct str objects, not interned ones
+    first = VarId("".join(["coun", "ter"]), "".join(["wor", "ker"]))
+    second = VarId("".join(["cou", "nter"]), "".join(["work", "er"]))
+    assert first.name is not second.name and first.owner is not second.owner
+    assert first == second and hash(first) == hash(second)
+    table = {first: 1, VarId("counter"): 2}
+    assert table[second] == 1 and table[VarId("counter")] == 2
+    assert second in set(table)
+
+
+_PICKLE_IN_CHILD = """
+import pickle
+from relaxcheck.ir import VarId
+key = VarId("counter", "worker")
+print(hash(key), pickle.dumps(({key: 1}, key)).hex())
+"""
+
+
+def test_varid_pickled_under_another_hash_seed_finds_its_key():
+    """str hashes differ between processes: a VarId pickled where they
+    differ from ours is rehashed here, as keys and as lookups alike."""
+    here = VarId("counter", "worker")
+    src = pathlib.Path(relaxcheck.__file__).resolve().parents[1]
+    differing = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PICKLE_IN_CHILD],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONHASHSEED": seed})
+        child_hash, payload = proc.stdout.split()
+        if int(child_hash) != hash(here):
+            differing.append(seed)
+            table, key = pickle.loads(bytes.fromhex(payload))
+            assert key == here and hash(key) == hash(here)
+            assert table[here] == 1 and {here: 2}[key] == 2
+    # the hashes of two seeds cannot both equal ours
+    assert differing

@@ -7,11 +7,12 @@ monotonicity and soundness on singletons, per-model relation inclusion
 chains, fact monotonicity of the feasibility engine and of the rules'
 specification, the bitset feasibility engine and its depth-first
 enumeration against the rules they implement (and four engine mutants the
-comparisons must catch), dominator equivalence against a brute-force
-oracle, NoReorder against its pair-set reference (and two mutants it must
-catch), flow-graph adjacency, loop nodes and NotReachableFrom against
-edge-scan references, oracle behavior inclusion, verdict monotonicity
-across models, and run determinism.
+comparisons must catch), the MHB closure against brute force, dominator
+equivalence against a brute-force oracle, NoReorder against its pair-set
+reference (and two mutants it must catch), flow-graph adjacency, loop
+nodes, reach, ancestors and NotReachableFrom against edge-scan references,
+oracle behavior inclusion, verdict monotonicity across models, and run
+determinism.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import dataclasses
 import functools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from relaxcheck import feasibility
@@ -187,6 +188,7 @@ _owners = st.sampled_from([None, "t", "u"])
 def test_varid_hash_agrees_with_equality(n1, o1, n2, o2):
     v1, v2 = VarId(n1, o1), VarId(n2, o2)
     assert (v1 == v2) == ((n1, o1) == (n2, o2))
+    assert hash(v1) == hash((n1, o1))
     if v1 == v2:
         assert hash(v1) == hash(v2)
     assert {v1: 1}.get(v2) == (1 if v1 == v2 else None)
@@ -680,6 +682,36 @@ def test_spec_differentials_catch_engine_mutants(mutant, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The MHB closure vs. brute force on random edge sets
+# ---------------------------------------------------------------------------
+
+_edge_sets = st.integers(1, 10).flatmap(lambda n: st.sets(
+    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+
+
+@MANY
+@given(_edge_sets)
+# a row settled too early would miss 3 in the rows of 1 and 2: both skip
+# 5 inside each other's row, and 5 only reaches 3 through 0 (a lower id)
+@example({(0, 3), (1, 2), (1, 5), (2, 1), (2, 5), (5, 0)})
+def test_closure_equals_brute_force(edges):
+    """Backward edges, self loops and cycles included."""
+    targets: dict[int, int] = {}
+    for a, b in edges:
+        targets[a] = targets.get(a, 0) | 1 << b
+    size = 1 + max((max(e) for e in edges), default=0)
+    expected = [0] * size
+    for a in range(size):
+        stack = [b for x, b in edges if x == a]
+        while stack:
+            b = stack.pop()
+            if not expected[a] >> b & 1:
+                expected[a] |= 1 << b
+                stack += [c for x, c in edges if x == b]
+    assert feasibility._closure(targets, size) == expected
+
+
+# ---------------------------------------------------------------------------
 # Dominators vs. brute force on random small graphs
 # ---------------------------------------------------------------------------
 
@@ -910,12 +942,32 @@ def _scan_not_reachable_from(graph: FlowGraph) -> set[tuple[int, int]]:
     return out
 
 
+def _scan_reach(graph: FlowGraph) -> set[tuple[int, int]]:
+    """(a, b) iff a path of one or more edges leads from a to b."""
+    out = set()
+    for a in graph.nodes:
+        stack = _scan_successors(graph, a)
+        seen = set(stack)
+        while stack:
+            for s in _scan_successors(graph, stack.pop()):
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        out |= {(a, b) for b in seen}
+    return out
+
+
 def _assert_structure_matches_scans(graph: FlowGraph) -> None:
     for n in graph.nodes:
         assert list(graph.successors(n)) == _scan_successors(graph, n)
         assert list(graph.predecessors(n)) == _scan_predecessors(graph, n)
     assert graph.loop_nodes == _scan_cycle_nodes(graph)
     assert not_reachable_from(graph) == _scan_not_reachable_from(graph)
+    reach = _scan_reach(graph)
+    assert {(a, b) for a, r in graph.reachable.items()
+            for b in bits(r)} == reach
+    assert {(a, b) for b, anc in graph.ancestors.items()
+            for a in bits(anc)} == reach
 
 
 @MANY
