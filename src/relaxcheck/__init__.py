@@ -3,9 +3,7 @@ litmus programs under SC, TSO, PSO, and RMO."""
 
 from .analysis import AnalysisStats, Verdict, analyze_all
 from .domain import AbstractEnv, Interval
-from .feasibility import (
-    FeasibilityContext, FeasibilityResult, MemoryModel, check_feasible,
-)
+from .feasibility import FeasibilityContext, FeasibilityResult, MemoryModel
 from .frontend import ParseError, lower, parse, parse_and_lower
 from .ir import Program, validate
 from .oracle import Execution, OracleLimitError, enumerate_executions, violates
@@ -13,7 +11,6 @@ from .oracle import Execution, OracleLimitError, enumerate_executions, violates
 __all__ = [
     "AbstractEnv", "AnalysisStats", "Execution", "FeasibilityContext",
     "FeasibilityResult", "Interval", "MemoryModel", "OracleLimitError",
-    "ParseError", "Program", "Verdict", "analyze_all", "check_feasible",
-    "enumerate_executions", "lower", "parse", "parse_and_lower", "validate",
-    "violates",
+    "ParseError", "Program", "Verdict", "analyze_all", "enumerate_executions",
+    "lower", "parse", "parse_and_lower", "validate", "violates",
 ]

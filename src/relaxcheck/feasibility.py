@@ -9,6 +9,8 @@ least fixpoint over sets, the specification the tests hold this module to;
 this module evaluates them with a closure over bitsets instead, and reads
 Dominates, NotReachableFrom and NoReorder as one node mask per node: the
 node's dominators, its reach, and the nodes the model keeps before it.
+`FeasibilityContext.relation_facts` decodes those masks into the Datalog
+facts that the spec and `--emit-relations` read; the analyzer never does.
 
 MHB is kept transitively closed as one row per node id, a node mask like
 every per-node node set of the package: bit b of row a means MHB(a, b).
@@ -29,9 +31,8 @@ and `must_not_read_from` (rules (5) and (6)):
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .ir import Program, VarId, bits
 from .relations import RelationStore, extract_all
@@ -112,11 +113,6 @@ def compute_no_reorder(model: MemoryModel, store: RelationStore,
                 keep |= store.dominators[m] & of_kind[first]
         kept[b] = keep | strong
     return tuple(kept)
-
-
-def node_pairs(masks: Sequence[int]) -> set[tuple[int, int]]:
-    """The (n, m) pairs with bit m set in the mask of node n."""
-    return {(n, m) for n, mask in enumerate(masks) for m in bits(mask)}
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +212,48 @@ class FeasibilityContext:
                                     else program.init_stores.get(v))
         self._cache: dict[frozenset, FeasibilityResult] = {}
 
-    # Pair-set views, for the dump and the Datalog spec
-    @cached_property
-    def no_reorder(self) -> set[tuple[int, int]]:
-        """(a, b) iff a != b, a reaches b and the model keeps a before b:
-        the bits of `kept[b]` among b's ancestors."""
-        ancestors = {n: anc for g in self.program.threads.values()
-                     for n, anc in g.ancestors.items()}
-        return {(a, b) for b, kept in enumerate(self.kept)
-                for a in bits(kept & ancestors.get(b, 0) & ~(1 << b))}
-
-    @cached_property
-    def base_mhb(self) -> set[tuple[int, int]]:
-        return node_pairs(self._base_rows)
+    def relation_facts(self) -> Iterator[tuple]:
+        """Every relation as Datalog facts `(relation, *args)`, decoded
+        from the stored maps and masks, which `--emit-relations` prints and
+        the Datalog spec reads.  The relations come in a fixed order; each
+        relation's facts come in node order: by the node that holds them
+        as a map entry or mask, then by the bits of the mask.  No relation
+        is collected or sorted, so the stream needs no memory beyond the
+        masks it decodes."""
+        store, nodes = self.store, range(len(self.kept))
+        for relation, var_of in (("IsLoad", store.load_var),
+                                 ("IsStore", store.store_var)):
+            yield from ((relation, n, var_of[n])
+                        for n in nodes if n in var_of)
+        yield from (("IsFence", n) for n in nodes if n in store.is_fence)
+        for kind, members in store.membars.items():
+            yield from ((f"Is{kind}Membar", n) for n in nodes if n in members)
+        for b in nodes:
+            for a in bits(store.dominators.get(b, 0)):
+                yield "Dominates", a, b
+        # (s1, s2) iff s1 != s2 share a thread and no path leads from s2
+        # to s1
+        nodes_of: dict[str, int] = {}
+        for n, name in store.thread_of.items():
+            nodes_of[name] = nodes_of.get(name, 0) | 1 << n
+        for s2 in nodes:
+            if s2 in store.reach:
+                for s1 in bits(nodes_of[store.thread_of[s2]]
+                               & ~store.reach[s2] & ~(1 << s2)):
+                    yield "NotReachableFrom", s1, s2
+        for relation, edges in (("ThreadCreates", store.thread_creates),
+                                ("ThreadJoins", store.thread_joins)):
+            targets = dict(edges)  # one edge per create or join node
+            yield from ((relation, n, targets[n])
+                        for n in nodes if n in targets)
+        # (a, b) iff a != b, a reaches b and the model keeps a before b
+        for a in nodes:
+            for b in bits(store.reach.get(a, 0) & ~(1 << a)):
+                if self.kept[b] >> a & 1:
+                    yield "NoReorder", a, b
+        for a, row in enumerate(self._base_rows):
+            for b in bits(row):
+                yield "MHB", a, b
 
     # -- building reads-from fact sets -------------------------------------
     def fact(self, load: int, source: int | None) -> Fact | None:
@@ -248,11 +273,6 @@ class FeasibilityContext:
             raise ContractViolation(
                 f"store {source} is not remote to load {load}")
         return load, source
-
-    def facts_for(self, sources: dict[int, int | None]) -> frozenset[Fact]:
-        """Reads-from facts of a choice of source per load (see `fact`)."""
-        return frozenset(f for load, source in sources.items()
-                         if (f := self.fact(load, source)) is not None)
 
     # -- deciding the rules ------------------------------------------------
     def add_facts(self, rows: Sequence[int], facts: Sequence[Fact],
@@ -351,11 +371,3 @@ class FeasibilityContext:
                for pair in suspects):
             return None
         return new_rows, grown
-
-
-def check_feasible(program: Program, model: MemoryModel,
-                   sources: dict[int, int | None]) -> FeasibilityResult:
-    """One-shot feasibility of a choice of source per load (see
-    `FeasibilityContext.facts_for`)."""
-    ctx = FeasibilityContext(program, model)
-    return ctx.check_facts(ctx.facts_for(sources))

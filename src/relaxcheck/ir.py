@@ -5,9 +5,9 @@ thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
 A flow graph builds its adjacency lists, reachability closure, strict
-dominators and loop nodes once (and its ancestors, for the NoReorder
-view).  Every per-node node set of the package is an int mask indexed by
-node id: bit n stands for node n, and `bits` lists the nodes of a mask.
+dominators and loop nodes once.  Every per-node node set of the package is
+an int mask indexed by node id: bit n stands for node n, and `bits` lists
+the nodes of a mask.
 """
 from __future__ import annotations
 
@@ -229,9 +229,9 @@ Instruction = (
 
 @dataclass
 class FlowGraph:
-    """One thread's flow graph.  Adjacency, reachability, ancestors,
-    dominators and loop nodes are built on first use and never rebuilt, so
-    nodes and edges are fixed from then on."""
+    """One thread's flow graph.  Adjacency, reachability, dominators and
+    loop nodes are built on first use and never rebuilt, so nodes and edges
+    are fixed from then on."""
     thread: str
     nodes: dict[int, Instruction]
     entry: int
@@ -268,20 +268,6 @@ class FlowGraph:
                     reach[n] |= 1 << s | reach[s]
             if reach == before:
                 return reach
-
-    @cached_property
-    def ancestors(self) -> dict[int, int]:
-        """The mask of the nodes that reach each node through one or more
-        edges: the forward dataflow anc[n] = OR over predecessors p of
-        {p} | anc[p], iterated over ascending node ids until stable."""
-        anc = dict.fromkeys(sorted(self.nodes), 0)
-        while True:
-            before = dict(anc)
-            for n in anc:
-                for p in self.predecessors(n):
-                    anc[n] |= 1 << p | anc[p]
-            if anc == before:
-                return anc
 
     @cached_property
     def dominators(self) -> dict[int, int]:

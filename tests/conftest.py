@@ -1,7 +1,8 @@
 """Shared fixtures: corpus discovery, cached analyzer/oracle results, two
-generated program families, the per-component combination product, one
-flow graph's Dominates and NotReachableFrom pair sets and a program's copy
-with gaps in its node ids.
+generated program families, the per-component combination product, a
+relation's facts and MHB rows as pair sets (one flow graph's Dominates and
+NotReachableFrom among them), reads-from facts of a choice of sources and
+their one-shot feasibility, and a program's copy with gaps in its node ids.
 
 Analyzer and oracle runs are memoized per (program, model) so the property
 suites and the acceptance gate can sample them repeatedly without re-paying
@@ -17,9 +18,9 @@ import pytest
 
 from relaxcheck import MemoryModel, analyze_all, parse_and_lower
 from relaxcheck.analysis import collect_candidates, interference_components
-from relaxcheck.ir import FlowGraph, Program
+from relaxcheck.feasibility import Fact, FeasibilityContext, FeasibilityResult
+from relaxcheck.ir import FlowGraph, Nop, Program, bits
 from relaxcheck.oracle import enumerate_executions, violates
-from relaxcheck.relations import RelationStore
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -55,17 +56,51 @@ def oracle_behaviors(name: str, model: MemoryModel) -> frozenset:
     return frozenset(enumerate_executions(corpus_program(name), model))
 
 
+def relation(ctx: FeasibilityContext, name: str) -> set[tuple]:
+    """One relation of `ctx.relation_facts()`, as a set of argument
+    tuples."""
+    return {fact[1:] for fact in ctx.relation_facts() if fact[0] == name}
+
+
+def node_pairs(rows) -> set[tuple[int, int]]:
+    """The (n, m) pairs with bit m set in the mask of node n."""
+    return {(n, m) for n, mask in enumerate(rows) for m in bits(mask)}
+
+
+def _graph_context(graph: FlowGraph) -> FeasibilityContext:
+    """A context for one flow graph's edges: a program of one thread, the
+    graph with a Nop at every node."""
+    nops = FlowGraph(graph.thread, dict.fromkeys(graph.nodes, Nop()),
+                     graph.entry, graph.exit, graph.edges)
+    return FeasibilityContext(Program({}, {graph.thread: nops}, graph.thread),
+                              MemoryModel.SC)
+
+
 def dominates(graph) -> set[tuple[int, int]]:
-    """One flow graph's Dominates, as the store's view of its dominators."""
-    return RelationStore(dominators=graph.dominators).dominates
+    """One flow graph's Dominates, as the relation facts decode it."""
+    return relation(_graph_context(graph), "Dominates")
 
 
 def not_reachable_from(graph) -> set[tuple[int, int]]:
-    """One flow graph's NotReachableFrom, as the store's view of its
-    reach."""
-    return RelationStore(reach=graph.reachable,
-                         thread_of=dict.fromkeys(graph.nodes, graph.thread)
-                         ).not_reachable_from
+    """One flow graph's NotReachableFrom, as the relation facts decode
+    it."""
+    return relation(_graph_context(graph), "NotReachableFrom")
+
+
+def facts_for(ctx: FeasibilityContext, sources: dict[int, int | None]
+              ) -> frozenset[Fact]:
+    """Reads-from facts of a choice of source per load (see
+    `FeasibilityContext.fact`)."""
+    return frozenset(f for load, source in sources.items()
+                     if (f := ctx.fact(load, source)) is not None)
+
+
+def check_feasible(program: Program, model: MemoryModel,
+                   sources: dict[int, int | None]) -> FeasibilityResult:
+    """One-shot feasibility of a choice of source per load (see
+    `facts_for`)."""
+    ctx = FeasibilityContext(program, model)
+    return ctx.check_facts(facts_for(ctx, sources))
 
 
 def with_gaps(program: Program, shift) -> Program:

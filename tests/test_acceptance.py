@@ -10,11 +10,13 @@ import time
 
 from relaxcheck.analysis import analyze_all
 from relaxcheck.domain import AbstractEnv, Interval, transfer
-from relaxcheck.feasibility import MemoryModel, check_feasible
+from relaxcheck.feasibility import MemoryModel
 from relaxcheck.ir import BinOp, Const, Load, Store, Var, VarId
 from relaxcheck.oracle import violates
 
-from conftest import CORPUS_FILES, MODELS, analyzer_result, corpus_program
+from conftest import (
+    CORPUS_FILES, MODELS, analyzer_result, check_feasible, corpus_program,
+)
 
 SC, TSO, PSO, RMO = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
                      MemoryModel.RMO)

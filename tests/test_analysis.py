@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
+import pytest
+
 from relaxcheck import analysis
 from relaxcheck.analysis import (
     ThreadRuns, analyze_all, analyze_thread, bootstrap_fixpoint,
@@ -14,6 +16,7 @@ from relaxcheck.domain import POS_INF, AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Load, VarId
+from relaxcheck.oracle import violates
 from relaxcheck.relations import extract_all
 
 from conftest import CORPUS_FILES, MODELS, analyzer_result, corpus_program
@@ -126,6 +129,31 @@ def test_loop_fallback_excludes_refuted_candidate():
     env = loop_fallback_env(l_done, spin.nodes[l_done].src, [],
                             {s_x: AbstractEnv()}, ctx, {})
     assert env.is_bottom
+
+
+# Thread b reads x only inside a loop, so x = 1 of thread a reaches the
+# assert only through the loop load's remote candidates.
+_LOOP_LOAD = """
+global x = 0;
+thread a { x = 1; }
+thread b {
+  local i = 0;
+  local r = 0;
+  while (i < 1) {
+    r = x;
+    i = i + 1;
+  }
+  assert(r == 0);
+}
+"""
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_loop_load_reads_its_remote_store(model):
+    prog, _ = parse_and_lower(_LOOP_LOAD)
+    _, verdicts, _ = analyze_all(prog, model)
+    assert [v.status for v in verdicts] == ["ALARM"]
+    assert violates(prog, model) == {verdicts[0].node: True}
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,26 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     assert proc.stderr == ""
 
 
+def test_reader_that_quits_early_stops_the_relation_stream(tmp_path):
+    # `relax-check --emit-relations long.lit | head -1`: the dump of a long
+    # thread overflows the pipe, so the writer sees the reader go mid-stream
+    long_thread = tmp_path / "long.lit"
+    long_thread.write_text(
+        "global x;\nthread t {\n"
+        + "".join(f"  local r{i} = x;\n" for i in range(200)) + "}\n")
+    src = pathlib.Path(relaxcheck.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relaxcheck.cli", "--emit-relations",
+         str(long_thread)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == "IsLoad(1,x)\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 def test_non_utf8_input_exit_two(tmp_path, capsys):
     bad = tmp_path / "utf16.lit"
     bad.write_bytes(b"\xff\xfe" + "thread t { }".encode("utf-16-le"))
@@ -143,6 +163,18 @@ def test_emit_relations_exception_exit_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == "internal error: ValueError: broken\n"
     assert "Traceback" not in err
+
+
+def test_emit_relations_exception_mid_stream_exit_three(capsys,
+                                                       monkeypatch):
+    def broken(ctx):
+        for n in range(100_000):
+            yield "IsFence", n
+        raise ValueError("broken")
+    monkeypatch.setattr(cli.FeasibilityContext, "relation_facts", broken)
+    code, out, err = _run(capsys, "--emit-relations", _corpus("seq1.lit"))
+    assert code == 3 and out.startswith("IsFence(0)\n")
+    assert err == "internal error: ValueError: broken\n"
 
 
 def test_oracle_exception_exit_three(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
-    mp_text, product,
+    facts_for, mp_text, product,
 )
 
 TSO = MemoryModel.TSO
@@ -250,7 +250,7 @@ def test_feasible_facts_of_different_components_stay_feasible(name, text,
         ctx = FeasibilityContext(prog, model, relstore)
         accepted = []
         for loads in component_loads(prog, relstore):
-            facts = [ctx.facts_for(sigma) for sigma in product(loads)]
+            facts = [facts_for(ctx, sigma) for sigma in product(loads)]
             accepted.append([f for f in facts if ctx.check_facts(f)])
         assert len(accepted) >= 2, (name, model)
         for i, first in enumerate(accepted):

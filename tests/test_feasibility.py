@@ -7,13 +7,16 @@ import pytest
 from relaxcheck import feasibility
 from relaxcheck.analysis import collect_candidates
 from relaxcheck.feasibility import (
-    ContractViolation, FeasibilityContext, MemoryModel, check_feasible,
+    ContractViolation, FeasibilityContext, MemoryModel,
 )
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Load, Store, bits
 from relaxcheck.relations import extract_all
 
-from conftest import CORPUS_FILES, corpus_program, with_gaps
+from conftest import (
+    CORPUS_FILES, check_feasible, corpus_program, facts_for, relation,
+    with_gaps,
+)
 
 SC, TSO, PSO, RMO = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
                      MemoryModel.RMO)
@@ -41,7 +44,7 @@ def _store_of(prog, thread: str, var: str, which: int = 0) -> int:
 
 def _no_reorder(name: str, model: MemoryModel):
     prog = corpus_program(name)
-    return prog, FeasibilityContext(prog, model).no_reorder
+    return prog, relation(FeasibilityContext(prog, model), "NoReorder")
 
 
 def test_tso_keeps_store_load_same_variable_relaxed():
@@ -102,8 +105,9 @@ def test_model_inclusion_chain_on_no_reorder():
     for name in ("fig1_nofence.lit", "fig2_fence.lit", "fig7.lit"):
         prog = corpus_program(name)
         store = extract_all(prog)
-        rmo, pso, tso, sc = (FeasibilityContext(prog, model, store).no_reorder
-                             for model in (RMO, PSO, TSO, SC))
+        rmo, pso, tso, sc = (
+            relation(FeasibilityContext(prog, model, store), "NoReorder")
+            for model in (RMO, PSO, TSO, SC))
         assert rmo <= pso <= tso <= sc
 
 
@@ -130,7 +134,7 @@ def _fig2_combinations():
 def test_fig2_rho4_infeasible_under_tso():
     prog, rho, l_x = _fig2_combinations()
     ctx = FeasibilityContext(prog, TSO)
-    facts = ctx.facts_for(rho[4])
+    facts = facts_for(ctx, rho[4])
     res = ctx.check_facts(facts)
     assert not res
     # the flag read forces the data read to see the new value, so the
@@ -189,7 +193,7 @@ def test_fig7_own_store_load_contributes_no_init_fact():
     prog = corpus_program("fig7.lit")
     ctx = FeasibilityContext(prog, TSO)
     l_x = _load_of(prog, "u1", "x")
-    facts = ctx.facts_for({l_x: None})
+    facts = facts_for(ctx, {l_x: None})
     assert facts == frozenset()  # own store may forward; no single source
 
 
@@ -231,7 +235,7 @@ def test_create_join_edges_enter_mhb():
     creates = [n for n in sorted(root.nodes)
                if type(root.nodes[n]).__name__ == "ThreadCreate"]
     t1 = prog.threads["t1"]
-    assert any((c, t1.entry) in ctx.base_mhb for c in creates)
+    assert any((c, t1.entry) in relation(ctx, "MHB") for c in creates)
 
 
 def _reference_deduce_mhb(store, no_reorder) -> tuple[int, ...]:
@@ -302,7 +306,7 @@ def test_base_mhb_closes_a_cycle_like_the_reference():
 def test_infeasible_witness_is_member_of_facts():
     prog, rho, _ = _fig2_combinations()
     ctx = FeasibilityContext(prog, TSO)
-    facts = ctx.facts_for(rho[4])
+    facts = facts_for(ctx, rho[4])
     res = ctx.check_facts(facts)
     assert not res and res.witness in facts
 
@@ -311,8 +315,8 @@ def test_fact_monotonicity_never_unprunes():
     # adding reads-from facts can only grow MustNotReadFrom
     prog, rho, _ = _fig2_combinations()
     ctx = FeasibilityContext(prog, TSO)
-    small = ctx.facts_for({list(rho[4])[0]: None})
-    big = ctx.facts_for(rho[4])
+    small = facts_for(ctx, {list(rho[4])[0]: None})
+    big = facts_for(ctx, rho[4])
     if not ctx.check_facts(small):
         assert not ctx.check_facts(big | small)
 
@@ -359,7 +363,7 @@ def _extend_in_every_order(ctx, candidates, prefix, done, tag) -> None:
         for source in [None] + candidates[load]:
             child = ctx.extend(prefix, load, source)
             order = (*done, (load, source))
-            facts = ctx.facts_for(dict(order))
+            facts = facts_for(ctx, dict(order))
             assert bool(ctx.check_facts(facts)) == (child is not None), \
                 (tag, order)
             if child is None:

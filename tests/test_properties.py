@@ -10,7 +10,7 @@ enumeration against the rules they implement (and four engine mutants the
 comparisons must catch), the MHB closure against brute force, dominator
 equivalence against a brute-force oracle, NoReorder against its pair-set
 reference (and two mutants it must catch), flow-graph adjacency, loop
-nodes, reach, ancestors and NotReachableFrom against edge-scan references,
+nodes, reach and NotReachableFrom against edge-scan references,
 oracle behavior inclusion, verdict monotonicity across models, and run
 determinism.
 """
@@ -42,8 +42,8 @@ from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
-    dominates, mp_text, not_reachable_from, oracle_behaviors, product,
-    ring_text, with_gaps,
+    dominates, facts_for, mp_text, node_pairs, not_reachable_from,
+    oracle_behaviors, product, relation, ring_text, with_gaps,
 )
 
 MANY = settings(max_examples=200, deadline=None,
@@ -424,8 +424,8 @@ def _rf_universe(name: str):
     prog = corpus_program(name)
     store = extract_all(prog)
     pairs = []
-    for (l, lv) in sorted(store.is_load):
-        for (s, sv) in sorted(store.is_store):
+    for l, lv in sorted(store.load_var.items()):
+        for s, sv in sorted(store.store_var.items()):
             if lv == sv and store.thread_of[l] != store.thread_of[s]:
                 pairs.append((l, s))
     return prog, store, pairs
@@ -440,10 +440,10 @@ def _context(name: str, model: MemoryModel) -> FeasibilityContext:
 def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
     """(MHB, MustNotReadFrom) of the bitset engine under reads-from rf."""
     rows = ctx.mhb_rows(rf)
-    mnrf = {(l, s) for l, lv in ctx.store.is_load
-            for s, sv in ctx.store.is_store
+    mnrf = {(l, s) for l, lv in ctx.store.load_var.items()
+            for s, sv in ctx.store.store_var.items()
             if lv == sv and ctx.must_not_read_from(rows, rf, l, s)}
-    return feasibility.node_pairs(rows), mnrf
+    return node_pairs(rows), mnrf
 
 
 def _seeds(rf: frozenset) -> set:
@@ -467,7 +467,7 @@ def test_model_inclusion_of_derived_relations(name, data):
     for model in (MemoryModel.RMO, MemoryModel.PSO, MemoryModel.TSO,
                   MemoryModel.SC):
         ctx = _context(name, model)
-        nr = frozenset(ctx.no_reorder)
+        nr = frozenset(relation(ctx, "NoReorder"))
         mhb, mnrf = _engine_relations(ctx, rf)
         if prev_nr is not None:
             assert prev_nr <= nr
@@ -501,15 +501,15 @@ def _check_base_mhb() -> None:
         prog, store, _ = _rf_universe(name)
         for model in MODELS:
             ctx = FeasibilityContext(prog, model, store)
-            assert ctx.base_mhb == spec_mhb(store, ctx.no_reorder, set()), \
-                (name, model)
+            assert relation(ctx, "MHB") == spec_mhb(ctx.relation_facts(),
+                                                    set()), (name, model)
 
 
 def _reference_enumerate_combinations(loads, ctx) -> list[dict]:
     """The enumeration the depth-first search replaced: the whole product,
     then one check_facts query per combination."""
     return [sigma for sigma in product(loads)
-            if ctx.check_facts(ctx.facts_for(sigma))]
+            if ctx.check_facts(facts_for(ctx, sigma))]
 
 
 def _check_analyzer_queries(monkeypatch) -> None:
@@ -535,10 +535,10 @@ def _check_analyzer_queries(monkeypatch) -> None:
             ctx = FeasibilityContext(prog, model, store)
             for loads in component_loads(prog, store):
                 for sigma in product(loads):
-                    queries[ctx, ctx.facts_for(sigma)] = None
+                    queries[ctx, facts_for(ctx, sigma)] = None
     assert len(queries) > 1000
     for ctx, facts in queries:
-        mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(facts),
+        mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts),
                                        _seeds(facts))
         result = ctx.check_facts(facts)
         assert result.witness == _spec_witness(mnrf, facts), facts
@@ -547,7 +547,7 @@ def _check_analyzer_queries(monkeypatch) -> None:
 
 def _spec_feasible(ctx: FeasibilityContext, facts: frozenset) -> bool:
     """Whether the rules refute none of the facts."""
-    mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(facts),
+    mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts),
                                    _seeds(facts))
     return _spec_witness(mnrf, facts) is None
 
@@ -567,7 +567,7 @@ def _check_enumeration(cases, spec: bool = False) -> None:
                 (model, loads)
             if spec:
                 assert got == [sigma for sigma in product(loads)
-                               if _spec_feasible(ctx, ctx.facts_for(sigma))
+                               if _spec_feasible(ctx, facts_for(ctx, sigma))
                                ], (model, loads)
 
 
@@ -609,9 +609,8 @@ def test_engine_relations_equal_spec(name, model, data):
                    if pairs else ())
     ctx = _context(name, model)
     mhb, mnrf = _engine_relations(ctx, rf)
-    assert mhb == spec_mhb(ctx.store, ctx.no_reorder, set(rf),
-                           _seeds(rf))
-    want_mnrf = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(rf),
+    assert mhb == spec_mhb(ctx.relation_facts(), set(rf), _seeds(rf))
+    want_mnrf = spec_must_not_read_from(ctx.relation_facts(), set(rf),
                                         _seeds(rf))
     assert mnrf == want_mnrf
     result = ctx.check_facts(rf)
@@ -628,9 +627,9 @@ def test_spec_fact_monotonicity(name, model, data):
                    if pairs else ())
     more = rf | frozenset(data.draw(st.sets(st.sampled_from(pairs),
                                             max_size=2)) if pairs else ())
-    small = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(rf),
+    small = spec_must_not_read_from(ctx.relation_facts(), set(rf),
                                     _seeds(rf))
-    big = spec_must_not_read_from(ctx.store, ctx.no_reorder, set(more),
+    big = spec_must_not_read_from(ctx.relation_facts(), set(more),
                                   _seeds(more))
     assert small <= big
 
@@ -830,10 +829,11 @@ def _membar_pairs(store) -> set[tuple[int, int]]:
 
 
 def _check_no_reorder(program: Program, models=MODELS) -> None:
-    """The context's NoReorder view equals the reference, pair for pair."""
+    """The context's NoReorder facts equal the reference, pair for pair."""
     store = extract_all(program)
     for model in models:
-        assert FeasibilityContext(program, model, store).no_reorder \
+        ctx = FeasibilityContext(program, model, store)
+        assert relation(ctx, "NoReorder") \
             == _reference_no_reorder(model, store, program), model
 
 
@@ -966,8 +966,6 @@ def _assert_structure_matches_scans(graph: FlowGraph) -> None:
     reach = _scan_reach(graph)
     assert {(a, b) for a, r in graph.reachable.items()
             for b in bits(r)} == reach
-    assert {(a, b) for b, anc in graph.ancestors.items()
-            for a in bits(anc)} == reach
 
 
 @MANY

@@ -9,13 +9,13 @@ import re
 from relaxcheck import analyze_all, parse_and_lower
 from relaxcheck.cli import _relation_dump
 from relaxcheck.datalog import spec_mhb
-from relaxcheck.feasibility import FeasibilityContext
+from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.ir import Fence, FlowGraph, Membar, Nop, validate
-from relaxcheck.relations import RelationStore, extract_all
+from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
-    dominates, not_reachable_from, with_gaps,
+    dominates, not_reachable_from, relation, with_gaps,
 )
 
 
@@ -146,54 +146,84 @@ def test_membar_node_populates_only_declared_kinds():
 def test_init_stores_in_is_store():
     prog = corpus_program("fig1_nofence.lit")
     store = extract_all(prog)
-    store_nodes = {n for (n, _) in store.is_store}
+    store_nodes = set(store.store_var)
     assert set(prog.init_stores.values()) <= store_nodes
 
 
 def test_dominates_and_nrf_same_thread_only():
     prog = corpus_program("fig1_nofence.lit")
-    store = extract_all(prog)
-    for rel in (store.dominates, store.not_reachable_from):
-        for a, b in rel:
-            assert store.thread_of[a] == store.thread_of[b]
+    ctx = FeasibilityContext(prog, MemoryModel.SC)
+    for name in ("Dominates", "NotReachableFrom"):
+        for a, b in relation(ctx, name):
+            assert ctx.store.thread_of[a] == ctx.store.thread_of[b]
 
 
 def test_dump_is_deterministic():
-    prog = corpus_program("fig2_fence.lit")
-    assert extract_all(prog).dump() == extract_all(prog).dump()
+    def dump():
+        program, _ = parse_and_lower(corpus_text("fig2_fence.lit"))
+        return list(_relation_dump(program, MemoryModel.TSO))
+    assert dump() == dump()
 
 
 #: sha256 of `--emit-relations` over corpus x models, when every relation
-#: was a stored pair set
+#: was a stored pair set, printed sorted
 RELATION_DUMP_DIGEST = \
     "dbd236104ac0466a5d1b2f18ad2d26dde0838bdfc8af52d004f9623532a9f81e"
 
+#: sha256 of the streamed `--emit-relations` over corpus x models
+STREAMED_DUMP_DIGEST = \
+    "fcb68ebf86572b9e8e82597ab0b60a4b39e8a69cc888c696d972ebf9cd9750d4"
 
-def test_relation_dump_digest_is_pinned():
-    """Dominates, NotReachableFrom, NoReorder and MHB print byte for byte
-    as they did when the relations were pair sets."""
+#: the relations that pair-set dump sorted by the text of each argument;
+#: it sorted the rest by node id
+_SORTED_AS_TEXT = {"IsLoad", "IsStore", "Dominates", "NotReachableFrom",
+                   "ThreadCreates", "ThreadJoins"}
+
+
+def _as_sorted_pair_sets(lines):
+    """The dump's lines, each relation's sorted as the pair-set dump
+    sorted them.  The relations keep their order."""
+    by_relation: dict[str, list[list[str]]] = {}
+    for line in lines:
+        name, args = line[:-1].split("(")
+        by_relation.setdefault(name, []).append(args.split(","))
+    for name, facts in by_relation.items():
+        key = None if name in _SORTED_AS_TEXT else lambda a: [*map(int, a)]
+        for args in sorted(facts, key=key):
+            yield f"{name}({','.join(args)})"
+
+
+def _dump_digest(order=list) -> str:
     digest = hashlib.sha256()
     for name in CORPUS_FILES:
         for model in MODELS:
-            dump = _relation_dump(corpus_program(name), model)
+            dump = "\n".join(order(_relation_dump(corpus_program(name),
+                                                  model)))
             digest.update(f"{name} {model}\n{dump}\n".encode())
-    assert digest.hexdigest() == RELATION_DUMP_DIGEST
+    return digest.hexdigest()
+
+
+def test_relation_dump_digest_is_pinned():
+    """Each relation's facts, sorted as the pair-set dump sorted them,
+    print byte for byte as they did when the relations were pair sets."""
+    assert _dump_digest(_as_sorted_pair_sets) == RELATION_DUMP_DIGEST
+
+
+def test_streamed_dump_digest_is_pinned():
+    """The dump as it streams, in node order, is pinned too."""
+    assert _dump_digest() == STREAMED_DUMP_DIGEST
 
 
 def test_analyzer_builds_no_pair_set(monkeypatch):
     """analyze_all reads Dominates, NotReachableFrom, NoReorder and MHB per
-    node only, and each flow graph computes its dominators and its reach
-    once across the four models."""
+    node only, never decoding them into facts, and each flow graph computes
+    its dominators and its reach once across the four models."""
     expected = {(name, model): analyzer_result(name, model)
                 for name in CORPUS_FILES for model in MODELS}
 
-    def refuse(instance):
-        raise AssertionError("the analyzer built a pair set")
-    for owner, attr in ((RelationStore, "dominates"),
-                        (RelationStore, "not_reachable_from"),
-                        (FeasibilityContext, "no_reorder"),
-                        (FeasibilityContext, "base_mhb")):
-        monkeypatch.setattr(owner, attr, property(refuse))
+    def refuse(ctx):
+        raise AssertionError("the analyzer decoded relation facts")
+    monkeypatch.setattr(FeasibilityContext, "relation_facts", refuse)
     computed: dict[str, list[FlowGraph]] = {}
     for attr in ("dominators", "reachable"):
         def counted(graph, compute=getattr(FlowGraph, attr).func,
@@ -226,8 +256,9 @@ def test_node_ids_with_gaps_give_the_same_relations():
         assert validate(gapped) == []
         for model in MODELS:
             ctx = FeasibilityContext(gapped, model)
-            assert ctx.base_mhb == spec_mhb(ctx.store, ctx.no_reorder, set())
-            renamed = re.sub(r"(?<=[(,])\d+(?=[,)])", unshift,
-                             _relation_dump(gapped, model))
-            assert sorted(renamed.splitlines()) == sorted(
-                _relation_dump(program, model).splitlines()), (name, model)
+            assert relation(ctx, "MHB") == spec_mhb(ctx.relation_facts(),
+                                                    set())
+            renamed = [re.sub(r"(?<=[(,])\d+(?=[,)])", unshift, line)
+                       for line in _relation_dump(gapped, model)]
+            assert renamed == list(_relation_dump(program, model)), \
+                (name, model)
