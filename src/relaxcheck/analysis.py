@@ -55,9 +55,7 @@ from dataclasses import dataclass, field
 
 from .domain import AbstractEnv, Interval, may_be_false, transfer
 from .feasibility import FeasibilityContext, MemoryModel
-from .ir import (
-    Assert, FlowGraph, Load, Program, ThreadCreate, ThreadJoin, VarId,
-)
+from .ir import Assert, FlowGraph, Load, Program, VarId, bits
 from .relations import RelationStore, extract_all
 
 DEFAULT_CAP = 4096
@@ -196,21 +194,13 @@ class ThreadRuns:
 # Interference collection and combination enumeration
 # ---------------------------------------------------------------------------
 
-def collect_candidates(program: Program, relstore: RelationStore
-                       ) -> dict[int, list[int]]:
+def collect_candidates(relstore: RelationStore) -> dict[int, list[int]]:
     """Per load across all threads: the stores to its variable in other
     threads, init stores excluded, in node order."""
-    init_nodes = set(program.init_stores.values())
-    stores = sorted(s for s in relstore.store_var if s not in init_nodes)
-    out: dict[int, list[int]] = {}
-    for graph in program.threads.values():
-        for n in sorted(graph.nodes):
-            instr = graph.nodes[n]
-            if isinstance(instr, Load):
-                out[n] = [s for s in stores
-                          if relstore.store_var[s] == instr.src
-                          and relstore.thread_of[s] != graph.thread]
-    return out
+    stores_of, own = relstore.stores_of, relstore.thread_nodes
+    return {l: list(bits(stores_of.get(v, 0) & ~relstore.init_stores
+                         & ~own[relstore.thread_of[l]]))
+            for l, v in relstore.load_var.items()}
 
 
 def interference_components(program: Program, relstore: RelationStore,
@@ -235,11 +225,10 @@ def interference_components(program: Program, relstore: RelationStore,
     for l, stores in candidates.items():
         for s in stores:
             unite(relstore.thread_of[l], relstore.thread_of[s])
-    for name, graph in program.threads.items():
-        if name != program.root:
-            for instr in graph.nodes.values():
-                if isinstance(instr, (ThreadCreate, ThreadJoin)):
-                    unite(name, instr.child)
+    for edges in (relstore.thread_creates, relstore.thread_joins):
+        for n, child_end in edges.items():
+            if relstore.thread_of[n] != program.root:
+                unite(relstore.thread_of[n], relstore.thread_of[child_end])
     groups: dict[str, list[str]] = {}
     for name in program.threads:
         groups.setdefault(find(name), []).append(name)
@@ -319,8 +308,8 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
     runs are the fixpoint.  Returns (the last round's env map over all
     nodes, store post-environments, rounds, the last round's joined value
     per load), the joined values being those of the returned store envs."""
-    init_nodes = set(program.init_stores.values())
-    store_nodes = sorted(s for s in relstore.store_var if s not in init_nodes)
+    store_nodes = list(bits(sum(relstore.stores_of.values())
+                            & ~relstore.init_stores))
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                           for n in store_nodes}
     live: dict[int, list[int]] = {}   # see `loop_fallback_env`
@@ -375,14 +364,14 @@ def analyze_all(program: Program, model: MemoryModel,
                 ) -> tuple[dict[int, AbstractEnv], list[Verdict],
                            AnalysisStats]:
     relstore = extract_all(program)
-    ctx = FeasibilityContext(program, model, relstore)
+    ctx = FeasibilityContext(relstore, model)
     runs = ThreadRuns(program, initial_env(program))
 
     stats = AnalysisStats(
         threads=len(program.threads),
         nodes=sum(len(g.nodes) for g in program.threads.values()))
 
-    candidates = collect_candidates(program, relstore)
+    candidates = collect_candidates(relstore)
     boot_map, store_envs, stats.outer_rounds, joined = bootstrap_fixpoint(
         program, relstore, ctx, candidates, runs)
     loop_nodes = {n for g in program.threads.values() for n in g.loop_nodes}

@@ -217,7 +217,7 @@ def _relation_dump(program, model: MemoryModel) -> Iterator[str]:
     """The lines of `--emit-relations`: one Datalog fact per line, such as
     `Dominates(3,5)`, in the order `FeasibilityContext.relation_facts`
     streams them."""
-    ctx = FeasibilityContext(program, model, extract_all(program))
+    ctx = FeasibilityContext(extract_all(program), model)
     for fact in ctx.relation_facts():
         yield _FACT_FORMATS[len(fact)] % fact
 

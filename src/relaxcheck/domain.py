@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ir import (
-    And, Assert, Assume, BinOp, Cmp, Cond, Const, Expr, Fence, Instruction,
+    And, Assert, Assume, Cmp, Cond, Const, Expr, Fence, Instruction,
     Load, LocalAssign, Membar, Nop, Not, Or, Store, ThreadCreate, ThreadJoin,
     Var, VarId,
 )

@@ -12,15 +12,20 @@ node's dominators, its reach, and the nodes the model keeps before it.
 `FeasibilityContext.relation_facts` decodes those masks into the Datalog
 facts that the spec and `--emit-relations` read; the analyzer never does.
 
+Every other relation the rules read is model-independent and comes from
+the program's `RelationStore` (`relations.py`), which a context only reads:
+a context holds just NoReorder, the base MHB rows and its decided fact
+sets, so contexts for several models can share one store.
+
 MHB is kept transitively closed as one row per node id, a node mask like
 every per-node node set of the package: bit b of row a means MHB(a, b).
 Adding the edges a -> T keeps the rows closed in one pass, with no
 Warshall step: a, and every row that has bit a, gains T and the rows of T.
 The rows under no reads-from facts (rules (1)-(3)) are built once per
-context, as the least fixpoint of their edges (`deduce_mhb`).  `add_facts`
-closes rows under more facts: it adds each new fact's store -> load edge
-and applies rule (4) until nothing changes.  Both ways of asking use it
-and `must_not_read_from` (rules (5) and (6)):
+context, as the closure of their edges (`deduce_mhb`, with `ir.closure`).
+`add_facts` closes rows under more facts: it adds each new fact's
+store -> load edge and applies rule (4) until nothing changes.  Both ways
+of asking use it and `must_not_read_from` (rules (5) and (6)):
 
 - `check_facts` decides one fact set from the base rows.
 - `extend` is one step of a depth-first enumeration: it adds a single fact
@@ -34,8 +39,8 @@ import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .ir import Program, VarId, bits
-from .relations import RelationStore, extract_all
+from .ir import bits, closure
+from .relations import RelationStore
 
 
 Fact = tuple[int, int]  # reads-from: (load node, store node)
@@ -66,31 +71,20 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _masks_by_var(var_of: dict[int, VarId]) -> dict[VarId, int]:
-    """Per variable, the mask of the nodes that access it."""
-    masks: dict[VarId, int] = {}
-    for n, v in var_of.items():
-        masks[v] = masks.get(v, 0) | 1 << n
-    return masks
-
-
-def compute_no_reorder(model: MemoryModel, store: RelationStore,
-                       program: Program) -> tuple[int, ...]:
+def compute_no_reorder(model: MemoryModel,
+                       store: RelationStore) -> tuple[int, ...]:
     """NoReorder as one node mask per node id up to the largest: bit a of
     mask b says that the model keeps a before b whenever a comes before b
     in program order, which the mask does not test.  Fences, create/join
     (full barriers) and each thread's entry/exit are kept with everything;
     a membar of kind k1k2 that dominates an access b of kind k2 keeps
     before b every access of kind k1 that dominates the membar."""
-    loads_of = _masks_by_var(store.load_var)
-    stores_of = _masks_by_var(store.store_var)
+    loads_of, stores_of = store.loads_of, store.stores_of
     of_kind = {"L": sum(loads_of.values()), "S": sum(stores_of.values())}
     loads, accesses = of_kind["L"], of_kind["L"] | of_kind["S"]
-    barriers = {n for n, _ in store.thread_creates | store.thread_joins}
-    ends = {n for g in program.threads.values() for n in (g.entry, g.exit)}
-    strong = sum(1 << n for n in store.is_fence | barriers | ends)
-    membars = {kind: sum(1 << m for m in members)
-               for kind, members in store.membars.items()}
+    barriers = sum(1 << n for n in [*store.thread_creates,
+                                    *store.thread_joins])
+    strong = store.fences | barriers | store.ends
     kept = [0] * (max(store.thread_of) + 1)
     for b in bits(accesses | strong):
         if strong >> b & 1:
@@ -109,7 +103,8 @@ def compute_no_reorder(model: MemoryModel, store: RelationStore,
                 MemoryModel.RMO: (own_loads, own_loads | own_stores),
                 }[model][kind == "S"]
         for first in "LS":
-            for m in bits(store.dominators[b] & membars[first + kind]):
+            for m in bits(store.dominators[b]
+                          & store.membars[first + kind]):
                 keep |= store.dominators[m] & of_kind[first]
         kept[b] = keep | strong
     return tuple(kept)
@@ -134,54 +129,19 @@ def _insert(rows: list[int], a: int, targets: int) -> None:
             rows[i] = row | add
 
 
-def _closure(targets: dict[int, int], size: int) -> list[int]:
-    """The transitive closure of the edges a -> t for every bit t of
-    targets[a], as `size` rows: the least fixpoint of rows[a] = targets[a]
-    | OR of rows[t] over the targets t of a.
-
-    The sources are swept by descending id until no row changes.  A row is
-    settled once it is computed from settled rows only (a node without
-    targets has the settled row 0): it is then final and closed, so later
-    sweeps skip it, and no target inside it needs its own row read.  Edges
-    mostly point to higher ids, so most rows settle in the first sweep;
-    the rest (an edge to a lower id, or a cycle) are swept again."""
-    rows = [0] * size
-    unsettled = sum(1 << a for a in targets)
-    sweep = sorted(targets, reverse=True)
-    while sweep:
-        again, changed = [], False
-        for a in sweep:
-            row = rest = targets[a]
-            while rest:
-                low = rest & -rest
-                t = low.bit_length() - 1
-                row |= rows[t]
-                rest ^= low
-                if not unsettled & low:
-                    rest &= ~rows[t]
-            if row != rows[a]:
-                rows[a], changed = row, True
-            if targets[a] & unsettled:
-                again.append(a)
-            else:
-                unsettled ^= 1 << a
-        sweep = again if changed else []
-    return rows
-
-
 def deduce_mhb(store: RelationStore,
                no_reorder: Sequence[int]) -> tuple[int, ...]:
     """MHB rows under no reads-from facts, one per node id up to the
     largest: the closure of the edges of rules (1) and (2).  Dominance
     implies program order, so rule (2) reads NoReorder's masks directly."""
     targets: dict[int, int] = {}
-    joins = {(x, j) for j, x in store.thread_joins}
-    for a, b in store.thread_creates | joins:
+    joins = [(x, j) for j, x in store.thread_joins.items()]
+    for a, b in [*store.thread_creates.items(), *joins]:
         targets[a] = targets.get(a, 0) | 1 << b
     for b, doms in store.dominators.items():
         for a in bits(doms & ~store.reach[b] & no_reorder[b]):
             targets[a] = targets.get(a, 0) | 1 << b
-    return tuple(_closure(targets, max(store.thread_of) + 1))
+    return tuple(closure(targets, max(store.thread_of) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +149,14 @@ def deduce_mhb(store: RelationStore,
 # ---------------------------------------------------------------------------
 
 class FeasibilityContext:
-    """Per-(program, model) engine with the static relations precomputed."""
+    """The model's part of the feasibility engine over one program's static
+    relations: NoReorder, the base MHB rows and the decided fact sets."""
 
-    def __init__(self, program: Program, model: MemoryModel,
-                 store: RelationStore | None = None):
-        self.program = program
-        self.model = model
-        self.store = store if store is not None else extract_all(program)
-        self.kept = compute_no_reorder(model, self.store, program)
-        self._loads_of = _masks_by_var(self.store.load_var)
-        self._stores_of = _masks_by_var(self.store.store_var)
+    def __init__(self, store: RelationStore, model: MemoryModel):
+        self.store = store
+        self.kept = compute_no_reorder(model, store)
         # MHB under no reads-from assumptions; every query starts from it
-        self._base_rows = deduce_mhb(self.store, self.kept)
-        # per load: the init store, when no store to its variable reaches
-        # it (only an own store can; else the sequential value may be a
-        # forwarded own write, and no single source can be asserted)
-        self._init_source: dict[int, int | None] = {}
-        for l, v in self.store.load_var.items():
-            forwarded = any(self.store.reach[s] >> l & 1
-                            for s in bits(self._stores_of.get(v, 0)))
-            self._init_source[l] = (None if forwarded
-                                    else program.init_stores.get(v))
+        self._base_rows = deduce_mhb(store, self.kept)
         self._cache: dict[frozenset, FeasibilityResult] = {}
 
     def relation_facts(self) -> Iterator[tuple]:
@@ -225,25 +172,21 @@ class FeasibilityContext:
                                  ("IsStore", store.store_var)):
             yield from ((relation, n, var_of[n])
                         for n in nodes if n in var_of)
-        yield from (("IsFence", n) for n in nodes if n in store.is_fence)
+        yield from (("IsFence", n) for n in bits(store.fences))
         for kind, members in store.membars.items():
-            yield from ((f"Is{kind}Membar", n) for n in nodes if n in members)
+            yield from ((f"Is{kind}Membar", n) for n in bits(members))
         for b in nodes:
             for a in bits(store.dominators.get(b, 0)):
                 yield "Dominates", a, b
         # (s1, s2) iff s1 != s2 share a thread and no path leads from s2
         # to s1
-        nodes_of: dict[str, int] = {}
-        for n, name in store.thread_of.items():
-            nodes_of[name] = nodes_of.get(name, 0) | 1 << n
         for s2 in nodes:
             if s2 in store.reach:
-                for s1 in bits(nodes_of[store.thread_of[s2]]
+                for s1 in bits(store.thread_nodes[store.thread_of[s2]]
                                & ~store.reach[s2] & ~(1 << s2)):
                     yield "NotReachableFrom", s1, s2
-        for relation, edges in (("ThreadCreates", store.thread_creates),
-                                ("ThreadJoins", store.thread_joins)):
-            targets = dict(edges)  # one edge per create or join node
+        for relation, targets in (("ThreadCreates", store.thread_creates),
+                                  ("ThreadJoins", store.thread_joins)):
             yield from ((relation, n, targets[n])
                         for n in nodes if n in targets)
         # (a, b) iff a != b, a reaches b and the model keeps a before b
@@ -265,7 +208,7 @@ class FeasibilityContext:
         if var is None:
             raise ContractViolation(f"node {load} is not a load")
         if source is None:
-            init = self._init_source[load]
+            init = self.store.init_source[load]
             return None if init is None else (load, init)
         if self.store.store_var.get(source) != var:
             raise ContractViolation(f"store {source} does not write {var}")
@@ -284,12 +227,13 @@ class FeasibilityContext:
         every same-variable store after its source.  While the rows stay
         as they were, only the new facts' rule (4) can add an edge."""
         load_var, store_var = self.store.load_var, self.store.store_var
+        stores_of = self.store.stores_of
         before, rows = rows, list(rows)
         for load, source in new:
             _insert(rows, source, 1 << load)
 
         def flows(facts):
-            return [(load, source, self._stores_of[var])
+            return [(load, source, stores_of[var])
                     for load, source in facts
                     if (var := load_var.get(load)) is not None
                     and store_var.get(source) == var]
@@ -315,15 +259,16 @@ class FeasibilityContext:
     def must_not_read_from(self, rows: Sequence[int], facts: Iterable[Fact],
                            load: int, source: int) -> bool:
         """Rules (5) and (6) for one pair, on the rows `mhb_rows(facts)`."""
-        var = self.store.load_var.get(load)
-        if var is None or self.store.store_var.get(source) != var:
+        store = self.store
+        var = store.load_var.get(load)
+        if var is None or store.store_var.get(source) != var:
             return False
         # (5) the load must precede the store
         if rows[load] >> source & 1:
             return True
         # (6) another load of var read the store, and a store to var lies
         #     between that load and this one
-        same_var, var_loads = self._stores_of[var], self._loads_of[var]
+        same_var, var_loads = store.stores_of[var], store.loads_of[var]
         for first, read in facts:
             if read == source and var_loads >> first & 1:
                 for s2 in bits(rows[first] & same_var):

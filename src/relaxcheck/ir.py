@@ -5,9 +5,11 @@ thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
 A flow graph builds its adjacency lists, reachability closure, strict
-dominators and loop nodes once.  Every per-node node set of the package is
-an int mask indexed by node id: bit n stands for node n, and `bits` lists
-the nodes of a mask.
+dominators and loop nodes once.  Every per-node node set of the package,
+and every node set of the static relations (`relations.py`), is an int
+mask indexed by node id: bit n stands for node n, `bits` lists the nodes
+of a mask, and `closure` is the package's one transitive closure over
+such masks, for reachability and MHB alike.
 """
 from __future__ import annotations
 
@@ -258,16 +260,11 @@ class FlowGraph:
     @cached_property
     def reachable(self) -> dict[int, int]:
         """The mask of the nodes reachable from each node through one or more
-        edges: the backward dataflow reach[n] = OR over successors s of
-        {s} | reach[s], iterated over descending node ids until stable."""
-        reach = dict.fromkeys(sorted(self.nodes, reverse=True), 0)
-        while True:
-            before = dict(reach)
-            for n in reach:
-                for s in self.successors(n):
-                    reach[n] |= 1 << s | reach[s]
-            if reach == before:
-                return reach
+        edges: the closure of the successor edges."""
+        rows = closure({n: sum(1 << s for s in succ)
+                        for n, succ in self.adjacency[0].items()},
+                       max(self.nodes) + 1)
+        return {n: rows[n] for n in sorted(self.nodes)}
 
     @cached_property
     def dominators(self) -> dict[int, int]:
@@ -300,6 +297,41 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def closure(targets: dict[int, int], size: int) -> list[int]:
+    """The transitive closure of the edges a -> t for every bit t of
+    targets[a], as `size` rows: the least fixpoint of rows[a] = targets[a]
+    | OR of rows[t] over the targets t of a.
+
+    The sources are swept by descending id until no row changes.  A row is
+    settled once it is computed from settled rows only (a node without
+    targets has the settled row 0): it is then final and closed, so later
+    sweeps skip it, and no target inside it needs its own row read.  Edges
+    mostly point to higher ids, so most rows settle in the first sweep;
+    the rest (an edge to a lower id, or a cycle) are swept again."""
+    rows = [0] * size
+    unsettled = sum(1 << a for a in targets)
+    sweep = sorted(targets, reverse=True)
+    while sweep:
+        again, changed = [], False
+        for a in sweep:
+            row = rest = targets[a]
+            while rest:
+                low = rest & -rest
+                t = low.bit_length() - 1
+                row |= rows[t]
+                rest ^= low
+                if not unsettled & low:
+                    rest &= ~rows[t]
+            if row != rows[a]:
+                rows[a], changed = row, True
+            if targets[a] & unsettled:
+                again.append(a)
+            else:
+                unsettled ^= 1 << a
+        sweep = again if changed else []
+    return rows
 
 
 @dataclass

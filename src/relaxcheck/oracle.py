@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .domain import negate
 from .ir import (
-    And, Assert, Assume, BinOp, Cmp, Cond, Const, Expr, Fence, FlowGraph,
+    And, Assert, Assume, Cmp, Cond, Const, Expr, Fence, FlowGraph,
     Load, LocalAssign, Membar, Nop, Not, Or, Program, Store, ThreadCreate,
     ThreadJoin, Var, VarId,
 )

@@ -21,6 +21,7 @@ from relaxcheck.analysis import collect_candidates, interference_components
 from relaxcheck.feasibility import Fact, FeasibilityContext, FeasibilityResult
 from relaxcheck.ir import FlowGraph, Nop, Program, bits
 from relaxcheck.oracle import enumerate_executions, violates
+from relaxcheck.relations import extract_all
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -72,8 +73,8 @@ def _graph_context(graph: FlowGraph) -> FeasibilityContext:
     graph with a Nop at every node."""
     nops = FlowGraph(graph.thread, dict.fromkeys(graph.nodes, Nop()),
                      graph.entry, graph.exit, graph.edges)
-    return FeasibilityContext(Program({}, {graph.thread: nops}, graph.thread),
-                              MemoryModel.SC)
+    program = Program({}, {graph.thread: nops}, graph.thread)
+    return FeasibilityContext(extract_all(program), MemoryModel.SC)
 
 
 def dominates(graph) -> set[tuple[int, int]]:
@@ -99,7 +100,7 @@ def check_feasible(program: Program, model: MemoryModel,
                    sources: dict[int, int | None]) -> FeasibilityResult:
     """One-shot feasibility of a choice of source per load (see
     `facts_for`)."""
-    ctx = FeasibilityContext(program, model)
+    ctx = FeasibilityContext(extract_all(program), model)
     return ctx.check_facts(facts_for(ctx, sources))
 
 
@@ -118,7 +119,7 @@ def with_gaps(program: Program, shift) -> Program:
 def component_loads(prog, relstore):
     """Per interference component with an enumerable load: its loads and
     their candidates, as analyze_all enumerates them."""
-    candidates = collect_candidates(prog, relstore)
+    candidates = collect_candidates(relstore)
     loops = {n for g in prog.threads.values() for n in g.loop_nodes}
     for names in interference_components(prog, relstore, candidates):
         loads = {l: candidates[l] for t in names for l in prog.threads[t].nodes

@@ -33,8 +33,8 @@ class _NoPruning(FeasibilityContext):
 class _SCPruning(FeasibilityContext):
     """Prunes as if the program ran under SC, whatever the model."""
 
-    def __init__(self, program, model, store=None):
-        super().__init__(program, MemoryModel.SC, store)
+    def __init__(self, store, model):
+        super().__init__(store, MemoryModel.SC)
 
 
 def _table(monkeypatch, context) -> dict[MemoryModel, tuple[int, int, int]]:

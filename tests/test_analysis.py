@@ -118,7 +118,7 @@ def test_loop_fallback_excludes_refuted_candidate():
     """
     prog, _ = parse_and_lower(text)
     relstore = extract_all(prog)
-    ctx = FeasibilityContext(prog, SC)
+    ctx = FeasibilityContext(relstore, SC)
     g = prog.threads["after"]
     s_x = next(n for n in g.nodes
                if type(g.nodes[n]).__name__ == "Store")
@@ -177,8 +177,8 @@ def _bootstrap_closure(prog, model):
     env map, and every store's post is within its store env.  Returns the
     store envs."""
     relstore = extract_all(prog)
-    ctx = FeasibilityContext(prog, model, relstore)
-    candidates = collect_candidates(prog, relstore)
+    ctx = FeasibilityContext(relstore, model)
+    candidates = collect_candidates(relstore)
     env_map, store_envs, _, boot_joined = bootstrap_fixpoint(
         prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)))
     # a fresh record of the surviving candidates: decided anew, not reused
@@ -410,8 +410,8 @@ def _assert_fixpoints_exact(prog, model, monkeypatch, label):
     values, gives node-for-node the reference's env maps with as many
     `transfer` and `AbstractEnv.widen` calls."""
     relstore = extract_all(prog)
-    ctx = FeasibilityContext(prog, model, relstore)
-    candidates = collect_candidates(prog, relstore)
+    ctx = FeasibilityContext(relstore, model)
+    candidates = collect_candidates(relstore)
     init = initial_env(prog)
     _, _, _, joined = bootstrap_fixpoint(
         prog, relstore, ctx, candidates, ThreadRuns(prog, init))

@@ -235,7 +235,7 @@ def test_deep_component_exit_zero(tmp_path, capsys):
     text = _chain_text(30, 50)
     program, _ = parse_and_lower(text)
     relstore = extract_all(program)
-    candidates = analysis.collect_candidates(program, relstore)
+    candidates = analysis.collect_candidates(relstore)
     deepest = max(sum(l in candidates for t in names
                       for l in program.threads[t].nodes)
                   for names in analysis.interference_components(

@@ -132,7 +132,7 @@ MULTI = [g for g in GENERATED if g[0] != "mp-k1"]
 def _groups(prog):
     relstore = extract_all(prog)
     return interference_components(prog, relstore,
-                                   collect_candidates(prog, relstore))
+                                   collect_candidates(relstore))
 
 
 def _one_component(prog, relstore, candidates):
@@ -183,7 +183,7 @@ def _assert_same_as_global(prog, model, result, global_result, tag):
         assert env == g_map[n], (tag, n)
     assert stats == g_stats, tag
     relstore = extract_all(prog)
-    candidates = collect_candidates(prog, relstore)
+    candidates = collect_candidates(relstore)
     loops = {n for g in prog.threads.values() for n in g.loop_nodes}
     comp_loads = {}
     for names in interference_components(prog, relstore, candidates):
@@ -247,7 +247,7 @@ def test_feasible_facts_of_different_components_stay_feasible(name, text,
     prog = program(text)
     relstore = extract_all(prog)
     for model in models:
-        ctx = FeasibilityContext(prog, model, relstore)
+        ctx = FeasibilityContext(relstore, model)
         accepted = []
         for loads in component_loads(prog, relstore):
             facts = [facts_for(ctx, sigma) for sigma in product(loads)]
@@ -297,7 +297,7 @@ def test_cap_partitions_threads_on_corpus(cap):
     for name in CORPUS_FILES:
         prog = corpus_program(name)
         relstore = extract_all(prog)
-        candidates = collect_candidates(prog, relstore)
+        candidates = collect_candidates(relstore)
         loops = {n for g in prog.threads.values() for n in g.loop_nodes}
         over = set()
         for names in interference_components(prog, relstore, candidates):
@@ -312,7 +312,7 @@ def test_cap_partitions_threads_on_corpus(cap):
             env_map, verdicts, stats = analyze_all(prog, model, cap)
             d_map, d_verdicts, _ = analyzer_result(name, model)
             boot_map = bootstrap_fixpoint(
-                prog, relstore, FeasibilityContext(prog, model, relstore),
+                prog, relstore, FeasibilityContext(relstore, model),
                 candidates, ThreadRuns(prog, initial_env(prog)))[0]
             assert {t for t, s in stats.per_thread.items()
                     if s.overflowed} == over, tag
@@ -342,7 +342,7 @@ def test_mp_pairs_combinations_grow_linearly():
     for k in range(1, 8):
         prog = program(mp_text(k))
         relstore = extract_all(prog)
-        candidates = collect_candidates(prog, relstore)
+        candidates = collect_candidates(relstore)
         _, _, stats = analyze_all(prog, TSO)
         counts.append(sum(
             math.prod(stats.per_thread[t].combinations_enumerated

@@ -44,7 +44,8 @@ def _store_of(prog, thread: str, var: str, which: int = 0) -> int:
 
 def _no_reorder(name: str, model: MemoryModel):
     prog = corpus_program(name)
-    return prog, relation(FeasibilityContext(prog, model), "NoReorder")
+    ctx = FeasibilityContext(extract_all(prog), model)
+    return prog, relation(ctx, "NoReorder")
 
 
 def test_tso_keeps_store_load_same_variable_relaxed():
@@ -106,7 +107,7 @@ def test_model_inclusion_chain_on_no_reorder():
         prog = corpus_program(name)
         store = extract_all(prog)
         rmo, pso, tso, sc = (
-            relation(FeasibilityContext(prog, model, store), "NoReorder")
+            relation(FeasibilityContext(store, model), "NoReorder")
             for model in (RMO, PSO, TSO, SC))
         assert rmo <= pso <= tso <= sc
 
@@ -133,7 +134,7 @@ def _fig2_combinations():
 
 def test_fig2_rho4_infeasible_under_tso():
     prog, rho, l_x = _fig2_combinations()
-    ctx = FeasibilityContext(prog, TSO)
+    ctx = FeasibilityContext(extract_all(prog), TSO)
     facts = facts_for(ctx, rho[4])
     res = ctx.check_facts(facts)
     assert not res
@@ -191,7 +192,7 @@ def test_fig7_sequential_combination_infeasible_under_sc():
 
 def test_fig7_own_store_load_contributes_no_init_fact():
     prog = corpus_program("fig7.lit")
-    ctx = FeasibilityContext(prog, TSO)
+    ctx = FeasibilityContext(extract_all(prog), TSO)
     l_x = _load_of(prog, "u1", "x")
     facts = facts_for(ctx, {l_x: None})
     assert facts == frozenset()  # own store may forward; no single source
@@ -230,7 +231,7 @@ def test_contract_violation_non_load_key():
 
 def test_create_join_edges_enter_mhb():
     prog = corpus_program("fig2_fence.lit")
-    ctx = FeasibilityContext(prog, RMO)
+    ctx = FeasibilityContext(extract_all(prog), RMO)
     root = prog.threads[prog.root]
     creates = [n for n in sorted(root.nodes)
                if type(root.nodes[n]).__name__ == "ThreadCreate"]
@@ -243,8 +244,8 @@ def _reference_deduce_mhb(store, no_reorder) -> tuple[int, ...]:
     `_insert` adds a source's targets, and their rows, to the source's row
     and to every row that has the source."""
     targets: dict[int, int] = {}
-    joins = {(x, j) for j, x in store.thread_joins}
-    for a, b in store.thread_creates | joins:
+    joins = {(x, j) for j, x in store.thread_joins.items()}
+    for a, b in set(store.thread_creates.items()) | joins:
         targets[a] = targets.get(a, 0) | 1 << b
     for b, doms in store.dominators.items():
         for a in bits(doms & ~store.reach[b] & no_reorder[b]):
@@ -277,7 +278,7 @@ thread w {
 
 
 def _assert_base_mhb_equals_reference(prog, model):
-    ctx = FeasibilityContext(prog, model)
+    ctx = FeasibilityContext(extract_all(prog), model)
     rows = feasibility.deduce_mhb(ctx.store, ctx.kept)
     assert rows == _reference_deduce_mhb(ctx.store, ctx.kept), model
     return rows
@@ -305,7 +306,7 @@ def test_base_mhb_closes_a_cycle_like_the_reference():
 
 def test_infeasible_witness_is_member_of_facts():
     prog, rho, _ = _fig2_combinations()
-    ctx = FeasibilityContext(prog, TSO)
+    ctx = FeasibilityContext(extract_all(prog), TSO)
     facts = facts_for(ctx, rho[4])
     res = ctx.check_facts(facts)
     assert not res and res.witness in facts
@@ -314,7 +315,7 @@ def test_infeasible_witness_is_member_of_facts():
 def test_fact_monotonicity_never_unprunes():
     # adding reads-from facts can only grow MustNotReadFrom
     prog, rho, _ = _fig2_combinations()
-    ctx = FeasibilityContext(prog, TSO)
+    ctx = FeasibilityContext(extract_all(prog), TSO)
     small = facts_for(ctx, {list(rho[4])[0]: None})
     big = facts_for(ctx, rho[4])
     if not ctx.check_facts(small):
@@ -380,7 +381,7 @@ def test_extend_in_every_order_equals_check_facts(name):
     prog = (parse_and_lower(HAND_WRITTEN[name])[0] if name in HAND_WRITTEN
             else corpus_program(name))
     store = extract_all(prog)
-    candidates = collect_candidates(prog, store)
+    candidates = collect_candidates(store)
     for model in (SC, TSO, PSO, RMO):
-        ctx = FeasibilityContext(prog, model, store)
+        ctx = FeasibilityContext(store, model)
         _extend_in_every_order(ctx, candidates, ctx.root(), (), (name, model))

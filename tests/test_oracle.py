@@ -1,14 +1,10 @@
 """Concrete-execution enumerator: cross-checks and model separation."""
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from relaxcheck.frontend import parse_and_lower
-from relaxcheck.ir import (
-    Assume, BinOp, Const, Load, LocalAssign, Nop, Store, Var,
-)
+from relaxcheck.ir import Assume, Const, Load, LocalAssign, Store, Var
 from relaxcheck.feasibility import MemoryModel
 from relaxcheck.oracle import (
     OracleLimitError, enumerate_executions, violates,

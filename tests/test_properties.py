@@ -36,7 +36,7 @@ from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import (
     MEMBAR_KINDS, Assume, BinOp, Cmp, Const, Fence, FlowGraph, Load,
-    LocalAssign, Membar, Nop, Program, Store, Var, VarId, bits,
+    LocalAssign, Membar, Nop, Program, Store, Var, VarId, bits, closure,
 )
 from relaxcheck.relations import extract_all
 
@@ -434,7 +434,7 @@ def _rf_universe(name: str):
 @functools.lru_cache(maxsize=None)
 def _context(name: str, model: MemoryModel) -> FeasibilityContext:
     prog, store, _ = _rf_universe(name)
-    return FeasibilityContext(prog, model, store)
+    return FeasibilityContext(store, model)
 
 
 def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
@@ -500,7 +500,7 @@ def _check_base_mhb() -> None:
     for name in CORPUS_FILES:
         prog, store, _ = _rf_universe(name)
         for model in MODELS:
-            ctx = FeasibilityContext(prog, model, store)
+            ctx = FeasibilityContext(store, model)
             assert relation(ctx, "MHB") == spec_mhb(ctx.relation_facts(),
                                                     set()), (name, model)
 
@@ -532,7 +532,7 @@ def _check_analyzer_queries(monkeypatch) -> None:
     for name in CORPUS_FILES:
         prog, store, _ = _rf_universe(name)
         for model in MODELS:
-            ctx = FeasibilityContext(prog, model, store)
+            ctx = FeasibilityContext(store, model)
             for loads in component_loads(prog, store):
                 for sigma in product(loads):
                     queries[ctx, facts_for(ctx, sigma)] = None
@@ -559,7 +559,7 @@ def _check_enumeration(cases, spec: bool = False) -> None:
     rules themselves."""
     for prog, model in cases:
         relstore = extract_all(prog)
-        ctx = FeasibilityContext(prog, model, relstore)
+        ctx = FeasibilityContext(relstore, model)
         for loads in component_loads(prog, relstore):
             got, overflow = enumerate_combinations(loads, DEFAULT_CAP, ctx)
             assert not overflow
@@ -664,7 +664,7 @@ def _drop_join_edges(m):
     deduce_mhb = feasibility.deduce_mhb
     m.setattr(feasibility, "deduce_mhb",
               lambda store, no_reorder: deduce_mhb(
-                  dataclasses.replace(store, thread_joins=set()),
+                  dataclasses.replace(store, thread_joins={}),
                   no_reorder))
 
 
@@ -707,7 +707,7 @@ def test_closure_equals_brute_force(edges):
             if not expected[a] >> b & 1:
                 expected[a] |= 1 << b
                 stack += [c for x, c in edges if x == b]
-    assert feasibility._closure(targets, size) == expected
+    assert closure(targets, size) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +770,8 @@ def _reference_no_reorder(model: MemoryModel, store, program
     thread-management points are ordered with everything in their thread:
     create/join act as full barriers, and entry/exit anchor the
     cross-thread ordering rules."""
-    strong = (store.is_fence | {c for c, _ in store.thread_creates}
-              | {j for j, _ in store.thread_joins})
+    strong = ({*bits(store.fences), *store.thread_creates,
+               *store.thread_joins})
     pairs: set[tuple[int, int]] = set()
     for name in sorted(program.threads):
         g = program.threads[name]
@@ -819,8 +819,7 @@ def _membar_pairs(store) -> set[tuple[int, int]]:
     of_kind = {"L": store.load_var, "S": store.store_var}
     firsts = {k: sum(1 << n for n in nodes) for k, nodes in of_kind.items()}
     pairs: set[tuple[int, int]] = set()
-    for kind, members in store.membars.items():
-        membars = sum(1 << m for m in members)
+    for kind, membars in store.membars.items():
         for s2 in of_kind[kind[1]]:
             for m in bits(store.dominators[s2] & membars):
                 pairs.update((s1, s2) for s1 in
@@ -832,7 +831,7 @@ def _check_no_reorder(program: Program, models=MODELS) -> None:
     """The context's NoReorder facts equal the reference, pair for pair."""
     store = extract_all(program)
     for model in models:
-        ctx = FeasibilityContext(program, model, store)
+        ctx = FeasibilityContext(store, model)
         assert relation(ctx, "NoReorder") \
             == _reference_no_reorder(model, store, program), model
 
@@ -875,18 +874,17 @@ def test_no_reorder_equals_reference_on_random_graphs(program, model):
 def _drop_membar_part(m):
     compute = feasibility.compute_no_reorder
     m.setattr(feasibility, "compute_no_reorder",
-              lambda model, store, program: compute(
+              lambda model, store: compute(
                   model, dataclasses.replace(
-                      store, membars=dict.fromkeys(store.membars, set())),
-                  program))
+                      store, membars=dict.fromkeys(store.membars, 0))))
 
 
 def _pso_table_under_tso(m):
     compute = feasibility.compute_no_reorder
     m.setattr(feasibility, "compute_no_reorder",
-              lambda model, store, program: compute(
+              lambda model, store: compute(
                   MemoryModel.PSO if model is MemoryModel.TSO else model,
-                  store, program))
+                  store))
 
 
 @pytest.mark.parametrize("mutant", [_drop_membar_part, _pso_table_under_tso],

@@ -1,21 +1,24 @@
 """Static relation extraction: classifiers, dominators, reachability, the
-`--emit-relations` output and the per-node form the analyzer reads."""
+`--emit-relations` output and the per-node form the analyzer reads, and
+the store's masks against the code they replaced."""
 from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import re
 
 from relaxcheck import analyze_all, parse_and_lower
+from relaxcheck.analysis import collect_candidates
 from relaxcheck.cli import _relation_dump
 from relaxcheck.datalog import spec_mhb
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
-from relaxcheck.ir import Fence, FlowGraph, Membar, Nop, validate
+from relaxcheck.ir import Fence, FlowGraph, Load, Membar, Nop, validate
 from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
-    dominates, not_reachable_from, relation, with_gaps,
+    dominates, mp_text, not_reachable_from, relation, ring_text, with_gaps,
 )
 
 
@@ -109,38 +112,33 @@ def test_not_reachable_from_loop():
 def test_thread_edges_from_root():
     prog = corpus_program("fig2_fence.lit")
     store = extract_all(prog)
-    creates, joins = store.thread_creates, store.thread_joins
-    targets = {b for (_, b) in creates}
+    targets = set(store.thread_creates.values())
     assert {prog.threads["t1"].entry, prog.threads["t2"].entry} <= targets
-    exits = {b for (_, b) in joins}
+    exits = set(store.thread_joins.values())
     assert {prog.threads["t1"].exit, prog.threads["t2"].exit} <= exits
 
 
 def test_fence_populates_all_membar_relations():
     prog = corpus_program("fig2_fence.lit")
     store = extract_all(prog)
-    fences = store.is_fence
-    assert len(fences) == 1
-    f = next(iter(fences))
+    assert store.fences.bit_count() == 1
     for kind in ("LL", "LS", "SL", "SS"):
-        assert f in store.membars[kind]
+        assert store.membars[kind] & store.fences
 
 
 def test_membar_node_populates_only_declared_kinds():
     prog = corpus_program("sb_membar.lit")
     store = extract_all(prog)
-    declared = {k for k, members in store.membars.items() if members}
-    ms = set().union(*(store.membars[k] for k in declared)) \
-        if declared else set()
+    ms = functools.reduce(operator.or_, store.membars.values())
     # every membar node appears exactly in its declared kinds
     for name, g in prog.threads.items():
         for n, instr in g.nodes.items():
             if isinstance(instr, Membar):
                 for kind in ("LL", "LS", "SL", "SS"):
-                    assert (n in store.membars[kind]) == \
+                    assert bool(store.membars[kind] >> n & 1) == \
                         (kind in instr.kinds)
             elif not isinstance(instr, Fence):
-                assert n not in ms
+                assert not ms >> n & 1
 
 
 def test_init_stores_in_is_store():
@@ -152,7 +150,7 @@ def test_init_stores_in_is_store():
 
 def test_dominates_and_nrf_same_thread_only():
     prog = corpus_program("fig1_nofence.lit")
-    ctx = FeasibilityContext(prog, MemoryModel.SC)
+    ctx = FeasibilityContext(extract_all(prog), MemoryModel.SC)
     for name in ("Dominates", "NotReachableFrom"):
         for a, b in relation(ctx, name):
             assert ctx.store.thread_of[a] == ctx.store.thread_of[b]
@@ -255,10 +253,93 @@ def test_node_ids_with_gaps_give_the_same_relations():
         gapped = with_gaps(program, lambda n: 3 * n + 2)
         assert validate(gapped) == []
         for model in MODELS:
-            ctx = FeasibilityContext(gapped, model)
+            ctx = FeasibilityContext(extract_all(gapped), model)
             assert relation(ctx, "MHB") == spec_mhb(ctx.relation_facts(),
                                                     set())
             renamed = [re.sub(r"(?<=[(,])\d+(?=[,)])", unshift, line)
                        for line in _relation_dump(gapped, model)]
             assert renamed == list(_relation_dump(program, model)), \
                 (name, model)
+
+
+# ---------------------------------------------------------------------------
+# The code the store's masks replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def _reference_candidates(program, store) -> dict[int, list[int]]:
+    """The scan `collect_candidates` made over loads x stores: per load,
+    the stores to its variable in other threads, init stores excluded, in
+    node order."""
+    init_nodes = set(program.init_stores.values())
+    stores = sorted(s for s in store.store_var if s not in init_nodes)
+    out: dict[int, list[int]] = {}
+    for graph in program.threads.values():
+        for n in sorted(graph.nodes):
+            instr = graph.nodes[n]
+            if isinstance(instr, Load):
+                out[n] = [s for s in stores
+                          if store.store_var[s] == instr.src
+                          and store.thread_of[s] != graph.thread]
+    return out
+
+
+def _reference_init_source(program, store) -> dict[int, int | None]:
+    """The loop every context ran per model: a load's init store, unless
+    a store to its variable reaches the load."""
+    out: dict[int, int | None] = {}
+    for l, v in store.load_var.items():
+        forwarded = any(store.reach[s] >> l & 1
+                        for s, sv in store.store_var.items() if sv == v)
+        out[l] = None if forwarded else program.init_stores.get(v)
+    return out
+
+
+def _reference_reachable(graph: FlowGraph) -> dict[int, int]:
+    """The sweep `FlowGraph.reachable` made: the backward dataflow
+    reach[n] = OR over successors s of {s} | reach[s], iterated over
+    descending node ids until stable."""
+    reach = dict.fromkeys(sorted(graph.nodes, reverse=True), 0)
+    while True:
+        before = dict(reach)
+        for n in reach:
+            for s in graph.successors(n):
+                reach[n] |= 1 << s | reach[s]
+        if reach == before:
+            return reach
+
+
+def _reference_programs():
+    """The corpus, with and without gaps in its node ids, k message-passing
+    pairs for k = 1..3 and store-buffering rings of 2..4 threads."""
+    for name in CORPUS_FILES:
+        program = corpus_program(name)
+        yield name, program
+        yield name + " gapped", with_gaps(program, lambda n: 3 * n + 2)
+    for k in (1, 2, 3):
+        yield f"mp {k}", parse_and_lower(mp_text(k))[0]
+        yield f"ring {k + 1}", parse_and_lower(ring_text(k + 1))[0]
+
+
+def test_candidates_equal_the_scan_they_replaced():
+    for name, program in _reference_programs():
+        store = extract_all(program)
+        assert collect_candidates(store) \
+            == _reference_candidates(program, store), name
+
+
+def test_init_sources_equal_the_per_model_loop():
+    for name, program in _reference_programs():
+        store = extract_all(program)
+        expected = {l: None if s is None else (l, s) for l, s in
+                    _reference_init_source(program, store).items()}
+        for model in MODELS:
+            ctx = FeasibilityContext(store, model)
+            assert {l: ctx.fact(l, None) for l in store.load_var} \
+                == expected, (name, model)
+
+
+def test_reachable_equals_the_sweep_it_replaced():
+    for name, program in _reference_programs():
+        for graph in program.threads.values():
+            assert graph.reachable == _reference_reachable(graph), \
+                (name, graph.thread)
