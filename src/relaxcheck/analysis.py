@@ -39,8 +39,12 @@ per-thread stats as the product whenever every component has a feasible
 combination; a witness is the product's witness restricted to its own
 component's loads.  The cap applies per component: an overflowing component
 takes the bootstrap result, and its threads with enumerable loads are
-marked `overflowed`.  A component with no enumerable load has one empty
-combination: its threads run once, against the loop loads' joined values.
+marked `overflowed`.  A component whose every combination is refuted takes
+the bootstrap result too, with its stats as enumerated: a cycle of joins
+makes the base MHB cyclic, and the rules then refute every choice even
+though executions exist (they block), so the empty product would judge no
+assert.  A component with no enumerable load has one empty combination:
+its threads run once, against the loop loads' joined values.
 
 Thread runs are memoized per analysis (`ThreadRuns`): a thread's fixpoint
 depends only on the intervals its own loads read from other threads, so the
@@ -427,6 +431,9 @@ def analyze_all(program: Program, model: MemoryModel,
                 feasible_proj[g.thread].add(
                     tuple(sigma[l] for l in thread_loads[g.thread]))
                 take(g, posts[g.thread], witness)
+        if not combos:  # every choice refuted: a cyclic MHB proves nothing
+            for g in graphs:
+                take(g, boot_map, ())
         for name in names:
             # the combinations are a full product: every projection occurs
             total = math.prod(len(loads[l]) + 1 for l in thread_loads[name])

@@ -19,10 +19,10 @@ from collections.abc import Iterable
 Pairs = set[tuple[int, int]]
 
 
-def solve(facts: Iterable[tuple], reads_from: Pairs,
-          mhb_seeds: Pairs = frozenset()) -> tuple[Pairs, Pairs]:
+def solve(facts: Iterable[tuple], reads_from: Pairs) -> tuple[Pairs, Pairs]:
     """(MHB, MustNotReadFrom): the least fixpoint of rules (1)-(6) over the
-    facts, ReadsFrom and the given MHB facts."""
+    facts and ReadsFrom, where a load comes after the store it reads from,
+    as in the engine's `add_facts`."""
     rel: defaultdict[str, set[tuple]] = defaultdict(set)
     for fact in facts:
         rel[fact[0]].add(fact[1:])
@@ -33,7 +33,9 @@ def solve(facts: Iterable[tuple], reads_from: Pairs,
     #     MHB(x, j) :- ThreadJoins(j, x).
     # (2) MHB(a, b) :- Dominates(a, b), NotReachableFrom(a, b),
     #                  NoReorder(a, b).
-    for a, b in (set(mhb_seeds) | rel["ThreadCreates"]
+    # A load follows the store it reads from:
+    #     MHB(s, l) :- ReadsFrom(l, s).
+    for a, b in ({(s, l) for l, s in reads_from} | rel["ThreadCreates"]
                  | {(x, j) for j, x in rel["ThreadJoins"]}
                  | (rel["Dominates"] & rel["NotReachableFrom"]
                     & rel["NoReorder"])):
@@ -68,13 +70,12 @@ def solve(facts: Iterable[tuple], reads_from: Pairs,
     return {(a, b) for a, bs in after.items() for b in bs}, mnrf
 
 
-def spec_mhb(facts: Iterable[tuple], reads_from: Pairs,
-             mhb_seeds: Pairs = frozenset()) -> Pairs:
+def spec_mhb(facts: Iterable[tuple], reads_from: Pairs) -> Pairs:
     """MHB: the least fixpoint of rules (1)-(4) over the given facts."""
-    return solve(facts, reads_from, mhb_seeds)[0]
+    return solve(facts, reads_from)[0]
 
 
-def spec_must_not_read_from(facts: Iterable[tuple], reads_from: Pairs,
-                            mhb_seeds: Pairs = frozenset()) -> Pairs:
+def spec_must_not_read_from(facts: Iterable[tuple], reads_from: Pairs
+                            ) -> Pairs:
     """MustNotReadFrom: the least fixpoint of rules (1)-(6)."""
-    return solve(facts, reads_from, mhb_seeds)[1]
+    return solve(facts, reads_from)[1]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .ir import (
     And, Assert, Assume, Cmp, Cond, Const, Expr, Fence, Instruction,
     Load, LocalAssign, Membar, Nop, Not, Or, Store, ThreadCreate, ThreadJoin,
-    Var, VarId,
+    Var, VarId, negate,
 )
 
 NEG_INF = float("-inf")
@@ -28,7 +28,6 @@ POS_INF = float("inf")
 
 Bound = int | float
 
-_NEGATE = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _SWAP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -282,41 +281,21 @@ def _bound_for(op: str, rhs: Interval) -> Interval:
     raise ValueError(op)
 
 
-def _may_hold(op: str, left: Interval, right: Interval) -> bool:
-    """Whether 'l op r' holds for some l in `left` and r in `right` (both
-    non-bottom)."""
-    if op == "==":
-        return left.lo <= right.hi and right.lo <= left.hi
-    if op == "!=":
-        return not (left.lo == left.hi == right.lo == right.hi)
-    if op == "<":
-        return left.lo < right.hi
-    if op == "<=":
-        return left.lo <= right.hi
-    if op == ">":
-        return left.hi > right.lo
-    if op == ">=":
-        return left.hi >= right.lo
-    raise ValueError(op)
-
-
 def _refine_cmp(cmp: Cmp, env: AbstractEnv) -> AbstractEnv:
     left_i = eval_expr(cmp.left, env)
     right_i = eval_expr(cmp.right, env)
     if left_i.is_bottom or right_i.is_bottom:
         return AbstractEnv.bottom()
 
-    # definitely-false comparisons produce bottom
-    if not _may_hold(cmp.op, left_i, right_i):
+    # the left values for which the comparison may hold: none means it is
+    # definitely false, and the env is bottom
+    new = left_i.meet(_refine_point(cmp.op, right_i, left_i))
+    if new.is_bottom:
         return AbstractEnv.bottom()
 
     out = env
     # one forward pass: tighten bare-variable sides
     if isinstance(cmp.left, Var):
-        new = env.get(cmp.left.var).meet(_refine_point(cmp.op, right_i,
-                                                       env.get(cmp.left.var)))
-        if new.is_bottom:
-            return AbstractEnv.bottom()
         out = out.set(cmp.left.var, new)
     if isinstance(cmp.right, Var):
         swapped = _SWAP[cmp.op]
@@ -341,18 +320,6 @@ def _refine_point(op: str, rhs: Interval, current: Interval) -> Interval:
                 return Interval(current.lo, p - 1)
         return current
     return _bound_for(op, rhs)
-
-
-def negate(cond: Cond) -> Cond:
-    if isinstance(cond, Cmp):
-        return Cmp(_NEGATE[cond.op], cond.left, cond.right)
-    if isinstance(cond, Not):
-        return cond.cond
-    if isinstance(cond, And):
-        return Or(negate(cond.left), negate(cond.right))
-    if isinstance(cond, Or):
-        return And(negate(cond.left), negate(cond.right))
-    raise TypeError(cond)
 
 
 def refine(cond: Cond, env: AbstractEnv) -> AbstractEnv:

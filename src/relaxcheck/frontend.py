@@ -19,11 +19,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import ir
-from .domain import negate
 from .ir import (
     And, Assert, Assume, BinOp, Cmp, Cond, Const, Expr, Fence, Load,
     LocalAssign, Membar, Nop, Not, Or, Store, ThreadCreate, ThreadJoin, Var,
-    VarId,
+    VarId, negate,
 )
 
 MODELS = ("sc", "tso", "pso", "rmo")
@@ -303,7 +302,7 @@ class _Parser:
         if self.peek().kind != "eof":
             self.error(f"unexpected {self.peek().text!r}")
         self._check_thread_targets(threads)
-        self._check_creation_acyclic(threads)
+        self._check_creates(threads)
         return SourceProgram(model, decls, threads, epilogue)
 
     def _int_literal(self) -> int:
@@ -430,12 +429,19 @@ class _Parser:
                     raise ParseError(f"unknown thread {s.target!r}",
                                      s.line, s.col)
 
-    def _check_creation_acyclic(self, threads: list[ThreadBlock]) -> None:
-        """Reject a thread that creates itself, directly or through the
-        threads it creates, at the create statement closing the cycle."""
-        closing = ir.creation_cycle({
-            t.name: [(s.target, s) for s in _nested_stmts(t.stmts)
-                     if isinstance(s, CreateStmt)] for t in threads})
+    def _check_creates(self, threads: list[ThreadBlock]) -> None:
+        """Reject a thread created at two sites, at the second one, and a
+        thread that creates itself, directly or through the threads it
+        creates, at the create statement closing the cycle."""
+        creates = {t.name: [(s.target, s) for s in _nested_stmts(t.stmts)
+                            if isinstance(s, CreateStmt)] for t in threads}
+        created: set[str] = set()
+        for child, s in (edge for edges in creates.values() for edge in edges):
+            if child in created:
+                raise ParseError(f"thread {child!r} is created at two sites",
+                                 s.line, s.col)
+            created.add(child)
+        closing = ir.creation_cycle(creates)
         if closing is not None:
             raise ParseError(f"thread creation cycle through "
                              f"{closing.target!r}", closing.line, closing.col)

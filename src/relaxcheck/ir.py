@@ -13,6 +13,7 @@ such masks, for reachability and MHB alike.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -130,6 +131,21 @@ def cond_vars(c: Cond) -> set[VarId]:
     if isinstance(c, Not):
         return cond_vars(c.cond)
     return cond_vars(c.left) | cond_vars(c.right)
+
+
+_NEGATE = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+
+
+def negate(cond: Cond) -> Cond:
+    if isinstance(cond, Cmp):
+        return Cmp(_NEGATE[cond.op], cond.left, cond.right)
+    if isinstance(cond, Not):
+        return cond.cond
+    if isinstance(cond, And):
+        return Or(negate(cond.left), negate(cond.right))
+    if isinstance(cond, Or):
+        return And(negate(cond.left), negate(cond.right))
+    raise TypeError(cond)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +406,10 @@ def validate(program: Program) -> list[str]:
                 if instr.child not in program.threads:
                     diags.append(f"{name}: node {n} targets unknown thread "
                                  f"'{instr.child}'")
+    creates = Counter(i.child for g in program.threads.values()
+                      for i in g.nodes.values() if isinstance(i, ThreadCreate))
+    diags += [f"thread '{child}' has {k} create nodes"
+              for child, k in sorted(creates.items()) if k > 1]
     if program.root not in program.threads:
         diags.append(f"root graph '{program.root}' missing")
     child = creation_cycle({

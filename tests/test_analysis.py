@@ -156,6 +156,30 @@ def test_loop_load_reads_its_remote_store(model):
     assert violates(prog, model) == {verdicts[0].node: True}
 
 
+# b and c join each other, so the base MHB is cyclic and the rules refute
+# every combination of their component, a's load and the epilogue's
+# included.  Yet a runs, and b stores y = 2 before it blocks.
+_JOIN_CYCLE = """
+global x = 0, y = 0;
+thread a { local r2 = y; assert(r2 == 1); }
+thread b { join(c); y = 2; }
+thread c { join(b); x = 2; }
+assert(x == 2);
+"""
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_component_with_no_feasible_combination_takes_the_bootstrap(model):
+    prog, _ = parse_and_lower(_JOIN_CYCLE)
+    _, verdicts, stats = analyze_all(prog, model)
+    flags = violates(prog, model)
+    assert [v.status for v in verdicts] == ["ALARM", "ALARM"]
+    assert [flags[v.node] for v in verdicts] == [True, False]
+    # its stats stay those of the enumeration: every combination pruned
+    assert all(t.combinations_pruned == t.combinations_enumerated
+               for name, t in stats.per_thread.items() if name != prog.root)
+
+
 # ---------------------------------------------------------------------------
 # Fixpoint shape
 # ---------------------------------------------------------------------------

@@ -136,6 +136,19 @@ def test_thread_creation_cycle_exit_two(tmp_path, capsys, text):
     assert err.startswith(f"{cyclic}:") and "creation cycle" in err
 
 
+def test_thread_created_at_two_sites_exit_two(tmp_path, capsys):
+    # once PROVED under every model, though the oracle finds a violation
+    two_sites = tmp_path / "two_sites.lit"
+    two_sites.write_text(
+        "global x = 0, y = 0;\n"
+        "thread a { local r = y; if (r == 1) { x = 1; create(c); }\n"
+        "  else { create(c); } }\n"
+        "thread c { local v = x; assert(v == 1); }\n")
+    code, out, err = _run(capsys, "--oracle", str(two_sites))
+    assert code == 2 and out == ""
+    assert err.startswith(f"{two_sites}:3:10: ") and "two sites" in err
+
+
 def test_unexpected_analysis_exception_exit_three(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise KeyError(7)

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from relaxcheck.domain import (
-    NEG_INF, POS_INF, AbstractEnv, Interval, eval_expr, may_be_false,
-    negate, refine, transfer,
+    NEG_INF, POS_INF, AbstractEnv, Interval, eval_expr, may_be_false, refine,
+    transfer,
 )
 from relaxcheck.ir import (
     Assume, BinOp, Cmp, Const, Load, LocalAssign, Nop, Store, Var, VarId,
+    negate,
 )
 
 X = VarId("x")

@@ -91,6 +91,19 @@ def test_parse_rejects_thread_creation_cycle_at_its_create(text, line, col):
     assert (e.value.line, e.value.col) == (line, col)
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("global y;\nthread a { local r = y;\n  if (r == 1) { create(c); }\n"
+     "  else { create(c); } }\nthread c { }", 4, 10),
+    ("thread a { create(c); }\nthread b {\n  create(c);\n}\nthread c { }",
+     3, 3),
+], ids=["branches", "threads"])
+def test_parse_rejects_a_thread_created_at_two_sites(text, line, col):
+    # each create would order the child after it, but only one of them runs
+    with pytest.raises(ParseError, match="'c' is created at two sites") as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_long_thread_creation_chain_lowers():
     n = 1100  # past the default recursion limit of 1000
     program, _ = parse_and_lower(

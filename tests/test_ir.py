@@ -102,6 +102,13 @@ def test_validate_detects_creation_cycle():
     assert any("creation cycle" in d for d in validate(prog))
 
 
+def test_validate_flags_a_thread_with_two_create_nodes():
+    # the root creates t2 as well
+    t1 = _line("t1", [Nop(), ThreadCreate("t2"), Nop()])
+    prog = _program_with({"t1": t1, "t2": _line("t2", [Nop(), Nop()])})
+    assert validate(prog) == ["thread 't2' has 2 create nodes"]
+
+
 def test_node_count_empty_program_is_root_entry_and_exit():
     root = _line("__root__", [Nop(), Nop()])
     prog = Program(globals={}, threads={"__root__": root})

@@ -7,7 +7,7 @@ from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import Assume, Const, Load, LocalAssign, Store, Var
 from relaxcheck.feasibility import MemoryModel
 from relaxcheck.oracle import (
-    OracleLimitError, enumerate_executions, violates,
+    Execution, OracleLimitError, enumerate_executions, violates,
 )
 
 from conftest import corpus_program, oracle_behaviors, oracle_flags
@@ -215,3 +215,12 @@ def test_thread_created_on_an_untaken_branch_never_runs():
         assert list(violates(program, model).values()) == [False], model
         assert {dict(ex.final_memory)["x"]
                 for ex in enumerate_executions(program, model)} == {0}
+
+
+def test_a_long_chain_of_local_assignments_folds_to_a_constant():
+    # nested unfolded, the value would pass the recursion limit
+    text = ("global x = 0;\nthread t {\n  local i = 0;\n"
+            + "  i = i + 1;\n" * 1500 + "  x = i;\n}\nassert(x == 1500);\n")
+    program, _ = parse_and_lower(text)
+    (execution,) = enumerate_executions(program, SC)
+    assert execution == Execution((("x", 1500),), frozenset())

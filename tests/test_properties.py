@@ -29,14 +29,14 @@ from relaxcheck.analysis import (
 )
 from relaxcheck.datalog import spec_mhb, spec_must_not_read_from
 from relaxcheck.domain import (
-    NEG_INF, POS_INF, AbstractEnv, Interval, _may_hold, negate, refine,
-    transfer,
+    NEG_INF, POS_INF, AbstractEnv, Interval, refine, transfer,
 )
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.ir import (
     MEMBAR_KINDS, Assume, BinOp, Cmp, Const, Fence, FlowGraph, Load,
     LocalAssign, Membar, Nop, Program, Store, Var, VarId, bits, closure,
+    negate,
 )
 from relaxcheck.relations import extract_all
 
@@ -409,7 +409,9 @@ _HOLDS = {"==": lambda l, r: l == r, "!=": lambda l, r: l != r,
 @given(st.sampled_from(sorted(_HOLDS)), _small_finite, _small_finite)
 def test_comparison_may_hold_equals_brute_force(op, left, right):
     # refinement returns bottom exactly when no pair of values satisfies op
-    assert _may_hold(op, left, right) == any(
+    env = AbstractEnv().set(A, left).set(B, right)
+    cmp = Cmp(op, Var(A), Var(B))
+    assert (not refine(cmp, env).is_bottom) == any(
         _HOLDS[op](l, r) for l in range(left.lo, left.hi + 1)
         for r in range(right.lo, right.hi + 1))
 
@@ -444,12 +446,6 @@ def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
             for s, sv in ctx.store.store_var.items()
             if lv == sv and ctx.must_not_read_from(rows, rf, l, s)}
     return node_pairs(rows), mnrf
-
-
-def _seeds(rf: frozenset) -> set:
-    """The store -> load MHB edge of each fact, as check_facts adds it: the
-    same query for the rules."""
-    return {(s, l) for l, s in rf}
 
 
 def _spec_witness(mnrf, rf: frozenset):
@@ -538,8 +534,7 @@ def _check_analyzer_queries(monkeypatch) -> None:
                     queries[ctx, facts_for(ctx, sigma)] = None
     assert len(queries) > 1000
     for ctx, facts in queries:
-        mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts),
-                                       _seeds(facts))
+        mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts))
         result = ctx.check_facts(facts)
         assert result.witness == _spec_witness(mnrf, facts), facts
         assert bool(result) == (result.witness is None)
@@ -547,8 +542,7 @@ def _check_analyzer_queries(monkeypatch) -> None:
 
 def _spec_feasible(ctx: FeasibilityContext, facts: frozenset) -> bool:
     """Whether the rules refute none of the facts."""
-    mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts),
-                                   _seeds(facts))
+    mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts))
     return _spec_witness(mnrf, facts) is None
 
 
@@ -609,9 +603,8 @@ def test_engine_relations_equal_spec(name, model, data):
                    if pairs else ())
     ctx = _context(name, model)
     mhb, mnrf = _engine_relations(ctx, rf)
-    assert mhb == spec_mhb(ctx.relation_facts(), set(rf), _seeds(rf))
-    want_mnrf = spec_must_not_read_from(ctx.relation_facts(), set(rf),
-                                        _seeds(rf))
+    assert mhb == spec_mhb(ctx.relation_facts(), set(rf))
+    want_mnrf = spec_must_not_read_from(ctx.relation_facts(), set(rf))
     assert mnrf == want_mnrf
     result = ctx.check_facts(rf)
     assert result.witness == _spec_witness(want_mnrf, rf)
@@ -627,10 +620,8 @@ def test_spec_fact_monotonicity(name, model, data):
                    if pairs else ())
     more = rf | frozenset(data.draw(st.sets(st.sampled_from(pairs),
                                             max_size=2)) if pairs else ())
-    small = spec_must_not_read_from(ctx.relation_facts(), set(rf),
-                                    _seeds(rf))
-    big = spec_must_not_read_from(ctx.relation_facts(), set(more),
-                                  _seeds(more))
+    small = spec_must_not_read_from(ctx.relation_facts(), set(rf))
+    big = spec_must_not_read_from(ctx.relation_facts(), set(more))
     assert small <= big
 
 
