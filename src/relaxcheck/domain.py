@@ -4,18 +4,19 @@ Bounds are mathematical integers extended with +/-infinity (represented by
 float inf, only ever used as a sentinel).  Environments map variables to
 intervals; unmapped variables read as Top.
 
-Intervals and environments are immutable, and operations may return an
-operand by identity: a join or widening whose result equals an operand
-returns that operand, a widening to Top returns the shared Top, `set`
-returns the env itself when the variable already maps to that very
-interval, and the bottom environment is one shared object.  So a fixpoint
-visit in which nothing changes allocates nothing, and `new is old` is a
-cheap "no change" test.  Environments may share their maps with each other:
-nothing writes to an env's map once the env is built.
+Intervals and environments are immutable: an `Interval` is a slotted
+object whose attributes cannot be assigned or deleted (AttributeError).
+Top, bottom and `Interval.const` of each int in a small fixed range are
+shared objects, built once at import.  Operations may return an operand by
+identity: a join or widening whose result equals an operand returns that
+operand, a widening to Top returns the shared Top, `set` returns the env
+itself when the variable already maps to that very interval, and the
+bottom environment is one shared object.  So a fixpoint visit in which
+nothing changes allocates nothing, and `new is old` is a cheap "no change"
+test.  Environments may share their maps with each other: nothing writes
+to an env's map once the env is built.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ir import (
     And, Assert, Assume, Cmp, Cond, Const, Expr, Fence, Instruction,
@@ -38,15 +39,45 @@ def _mul_bound(a: Bound, b: Bound) -> Bound:
     return a * b
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: Bound
-    hi: Bound
-    is_bottom: bool = False
+    """[lo, hi] with lo <= hi, or bottom when `is_bottom` (the shared
+    `Interval.bottom()` has bounds 0 and 0).  Equality and hash are those
+    of the field tuple.  Immutable: `__init__` fills the slots through
+    their descriptors, and assigning or deleting an attribute raises
+    AttributeError."""
 
-    def __post_init__(self):
-        if not self.is_bottom and self.lo > self.hi:
-            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi", "is_bottom")
+
+    def __init__(self, lo: Bound, hi: Bound, is_bottom: bool = False):
+        if not is_bottom and lo > hi:
+            raise ValueError(f"bad interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_is_bottom(self, is_bottom)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.hi, self.is_bottom)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return ((self.lo, self.hi, self.is_bottom)
+                == (other.lo, other.hi, other.is_bottom))
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.is_bottom))
+
+    def __repr__(self) -> str:
+        return (f"Interval(lo={self.lo!r}, hi={self.hi!r}, "
+                f"is_bottom={self.is_bottom!r})")
 
     @classmethod
     def bottom(cls) -> "Interval":
@@ -58,6 +89,10 @@ class Interval:
 
     @classmethod
     def const(cls, v: int) -> "Interval":
+        """[v, v]: one shared object for each int in the fixed range of
+        `_CONSTS`, a new one outside it."""
+        if v.__class__ is int and _CONST_MIN <= v <= _CONST_MAX:
+            return _CONSTS[v - _CONST_MIN]
         return cls(v, v)
 
     def is_top(self) -> bool:
@@ -136,8 +171,15 @@ class Interval:
         return f"[{lo},{hi}]"
 
 
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+_set_is_bottom = Interval.is_bottom.__set__
+
 _BOTTOM = Interval(0, 0, is_bottom=True)
 _TOP = Interval(NEG_INF, POS_INF)
+# built once at import: the table never grows with the input
+_CONST_MIN, _CONST_MAX = -16, 255
+_CONSTS = tuple(Interval(v, v) for v in range(_CONST_MIN, _CONST_MAX + 1))
 
 
 class AbstractEnv:

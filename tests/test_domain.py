@@ -1,13 +1,15 @@
 """Interval domain unit tests, including the pinned example values."""
 from __future__ import annotations
 
+import pytest
+
 from relaxcheck.domain import (
     NEG_INF, POS_INF, AbstractEnv, Interval, eval_expr, may_be_false, refine,
     transfer,
 )
 from relaxcheck.ir import (
-    Assume, BinOp, Cmp, Const, Load, LocalAssign, Nop, Store, Var, VarId,
-    negate,
+    Assert, Assume, BinOp, Cmp, Const, Fence, Load, LocalAssign, Membar, Nop,
+    Store, ThreadCreate, ThreadJoin, Var, VarId, negate,
 )
 
 X = VarId("x")
@@ -120,8 +122,24 @@ def test_eval_expr_mixed():
 
 def test_transfer_identity_instructions():
     env = AbstractEnv({A: iv(1, 2)})
-    for instr in (Nop(),):
-        assert transfer(instr, env) == env
+    for instr in (Fence(), Membar(frozenset({"SL"})), Nop(),
+                  Assert(Cmp("==", Var(A), Const(9))), ThreadCreate("u"),
+                  ThreadJoin("u")):
+        assert transfer(instr, env) is env
+
+
+def test_transfer_rejects_an_unknown_instruction_type():
+    env = AbstractEnv({A: iv(1, 2)})
+    for instr in (object(), Cmp("==", Var(A), Const(1)), Const(1)):
+        with pytest.raises(TypeError):
+            transfer(instr, env)
+
+
+def test_eval_expr_rejects_an_unknown_operator():
+    env = AbstractEnv({A: iv(1, 2)})
+    for op in ("/", "%", "<"):
+        with pytest.raises(ValueError, match="unknown operator"):
+            eval_expr(BinOp(op, Var(A), Const(1)), env)
 
 
 def test_transfer_load_copies_global():
