@@ -3,9 +3,9 @@ litmus programs under SC, TSO, PSO, and RMO."""
 
 from .analysis import AnalysisStats, Verdict, analyze_all
 from .domain import AbstractEnv, Interval
-from .feasibility import FeasibilityContext, FeasibilityResult, MemoryModel
+from .feasibility import FeasibilityContext, FeasibilityResult
 from .frontend import ParseError, lower, parse, parse_and_lower
-from .ir import Program, validate
+from .ir import MemoryModel, Program, validate
 from .oracle import Execution, OracleLimitError, enumerate_executions, violates
 
 __all__ = [

@@ -7,7 +7,10 @@ value reaches a load through its sequential value.
 A bootstrap fixpoint then runs every thread with each load joining the
 values of all its candidates not refuted outright, iterating (with
 widening) until the published store environments stabilize; this
-over-approximates every execution and seeds the enumeration.
+over-approximates every execution and seeds the enumeration.  Whether a
+candidate is refuted outright is one single-fact feasibility query, asked
+in every round and answered from the feasibility context's memo after the
+first.
 
 Enumeration then visits interference combinations: one simultaneous choice,
 for every load outside a loop, of a candidate to read from (or no remote
@@ -24,7 +27,7 @@ Each feasible combination is re-analyzed with combination-conditional
 environments — every load takes exactly its chosen store's value, iterated
 across threads starting from the bootstrap result — and assertions are
 judged on the environments of the feasible combinations only.  Each thread
-result is taken once, as it arrives: it is joined into the env map and its
+result is taken as it arrives: it is joined into the env map and its
 thread's asserts are judged on it, so an ALARM's witness is the first
 combination with a result that fails it.
 
@@ -58,8 +61,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .domain import AbstractEnv, Interval, may_be_false, transfer
-from .feasibility import FeasibilityContext, MemoryModel
-from .ir import Assert, FlowGraph, Load, Program, VarId, bits
+from .feasibility import FeasibilityContext
+from .ir import Assert, FlowGraph, Load, MemoryModel, Program, VarId, bits
 from .relations import RelationStore, extract_all
 
 DEFAULT_CAP = 4096
@@ -275,20 +278,15 @@ def enumerate_combinations(candidates: dict[int, list[int]], cap: int,
 
 def loop_fallback_env(load_node: int, var: VarId, stores: list[int],
                       store_envs: dict[int, AbstractEnv],
-                      ctx: FeasibilityContext,
-                      live: dict[int, list[int]]) -> Interval:
+                      ctx: FeasibilityContext) -> Interval:
     """Joined value contribution for a load handled without enumeration:
-    every candidate not refuted outright for this load contributes.  Whether
-    one is refuted outright depends on neither the round nor the store envs,
-    so the load's first call decides it for each candidate and keeps the
-    survivors in `live` (one dict per analysis) for every later call."""
-    kept = live.get(load_node)
-    if kept is None:
-        kept = live[load_node] = [
-            s for s in stores if ctx.check_facts(frozenset({(load_node, s)}))]
+    every candidate not refuted outright for this load contributes.  Each
+    candidate is one single-fact query, which depends on neither the round
+    nor the store envs, so `ctx` answers its repeats from its memo."""
     acc = Interval.bottom()
-    for s in kept:
-        acc = acc.join(store_envs[s].get(var))
+    for s in stores:
+        if ctx.check_facts(frozenset({(load_node, s)})):
+            acc = acc.join(store_envs[s].get(var))
     return acc
 
 
@@ -316,10 +314,9 @@ def bootstrap_fixpoint(program: Program, relstore: RelationStore,
                             & ~relstore.init_stores))
     store_envs: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                           for n in store_nodes}
-    live: dict[int, list[int]] = {}   # see `loop_fallback_env`
     for round_no in range(1, _MAX_ROUNDS + 1):
         joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                       store_envs, ctx, live)
+                                       store_envs, ctx)
                   for l, stores in candidates.items()}
         env_map: dict[int, AbstractEnv] = {}
         for graph in program.threads.values():
@@ -384,18 +381,10 @@ def analyze_all(program: Program, model: MemoryModel,
     env_map: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                        for n in boot_map}
     alarms: dict[int, tuple] = {}   # assert node -> witness of its ALARM
-    # the (thread, result) pairs taken, by id; holding each result keeps
-    # its id unique even when `runs` does not (the memo does)
-    taken: dict[tuple[str, int], dict[int, AbstractEnv]] = {}
 
     def take(graph: FlowGraph, post: dict[int, AbstractEnv],
              witness: tuple) -> None:
-        """Join one thread's result into env_map and judge its asserts;
-        a result already taken for that thread adds nothing, so the first
-        witness under which an assert may fail is the one reported."""
-        if (graph.thread, id(post)) in taken:
-            return
-        taken[graph.thread, id(post)] = post
+        """Join a thread's result into env_map and judge its asserts."""
         for n, instr in graph.nodes.items():
             env_map[n] = env_map[n].join(post[n])
             if (isinstance(instr, Assert) and n not in alarms
@@ -414,12 +403,6 @@ def analyze_all(program: Program, model: MemoryModel,
         # a component with no enumerable load is one empty combination
         combos, overflow = (enumerate_combinations(loads, cap, ctx)
                             if loads else ([{}], False))
-        if overflow:
-            for g in graphs:
-                per_thread[g.thread] = ThreadStats(
-                    overflowed=bool(thread_loads[g.thread]))
-                take(g, boot_map, ())
-            continue
         comp_envs = {s: store_envs[s] for g in graphs for s in g.nodes
                      if s in store_envs}
         feasible_proj: dict[str, set] = {name: set() for name in names}
@@ -431,15 +414,19 @@ def analyze_all(program: Program, model: MemoryModel,
                 feasible_proj[g.thread].add(
                     tuple(sigma[l] for l in thread_loads[g.thread]))
                 take(g, posts[g.thread], witness)
-        if not combos:  # every choice refuted: a cyclic MHB proves nothing
+        # overflow, or every choice refuted (a cyclic MHB proves nothing):
+        # the component takes the bootstrap result
+        if not combos:
             for g in graphs:
                 take(g, boot_map, ())
         for name in names:
             # the combinations are a full product: every projection occurs
-            total = math.prod(len(loads[l]) + 1 for l in thread_loads[name])
+            total = 0 if overflow else math.prod(len(loads[l]) + 1
+                                                 for l in thread_loads[name])
             per_thread[name] = ThreadStats(
                 combinations_enumerated=total,
-                combinations_pruned=total - len(feasible_proj[name]))
+                combinations_pruned=total - len(feasible_proj[name]),
+                overflowed=overflow and bool(thread_loads[name]))
 
     stats.per_thread = {name: per_thread[name] for name in program.threads}
     verdicts = sorted(

@@ -10,6 +10,7 @@ with the oracle.  A reader that closes stdout early changes no exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,11 +19,10 @@ from collections.abc import Iterator
 from itertools import islice
 
 from . import analysis, oracle
-from .feasibility import FeasibilityContext, MemoryModel
+from .feasibility import FeasibilityContext
 from .frontend import ParseError, lower, parse
+from .ir import MemoryModel
 from .relations import extract_all
-
-_MODELS = {m.value: m for m in MemoryModel}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -31,7 +31,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Verify assertions in small concurrent programs under "
                     "SC/TSO/PSO/RMO memory models.")
     p.add_argument("input", help="input program (.lit file)")
-    p.add_argument("--model", choices=sorted(_MODELS),
+    p.add_argument("--model", choices=sorted(m.value for m in MemoryModel),
                    help="memory model (overrides the file's 'model' "
                         "directive; default sc)")
     p.add_argument("--max-combinations", type=int, default=analysis.DEFAULT_CAP,
@@ -84,7 +84,7 @@ def run(argv: list[str]) -> int:
             print(f"error: {flag} must be non-negative", file=sys.stderr)
             return 2
 
-    model = _MODELS[args.model or ast.model or "sc"]
+    model = MemoryModel(args.model or ast.model or "sc")
 
     if args.emit_relations:
         try:
@@ -114,13 +114,11 @@ def run(argv: list[str]) -> int:
             return _internal_error(e)
 
     annotations: dict[int, str] = {}
-    soundness_bug = False
     if oracle_flags is not None:
         for v in verdicts:
             violated = oracle_flags.get(v.node, False)
             if violated and v.status == "PROVED":
                 annotations[v.node] = "SOUNDNESS BUG"
-                soundness_bug = True
             elif not violated and v.status == "ALARM":
                 annotations[v.node] = "analyzer imprecise"
             else:
@@ -135,7 +133,7 @@ def run(argv: list[str]) -> int:
         _report(lambda: _print_text(args.input, model, verdicts, stats, wall,
                                     annotations, oracle_error))
 
-    if soundness_bug:
+    if "SOUNDNESS BUG" in annotations.values():
         return 3
     return 1 if any(v.status == "ALARM" for v in verdicts) else 0
 
@@ -195,20 +193,8 @@ def _json_report(path, model, verdicts, stats, wall, annotations,
             }
             for v in verdicts
         ],
-        "stats": {
-            "threads": stats.threads,
-            "nodes": stats.nodes,
-            "outer_rounds": stats.outer_rounds,
-            "per_thread": {
-                name: {
-                    "combinations_enumerated": t.combinations_enumerated,
-                    "combinations_pruned": t.combinations_pruned,
-                    "overflowed": t.overflowed,
-                }
-                for name, t in stats.per_thread.items()
-            },
-            "wall_time_s": round(wall, 6),
-        },
+        "stats": {**dataclasses.asdict(stats),
+                  "wall_time_s": round(wall, 6)},
         **({"oracle_error": oracle_error} if oracle_error else {}),
     }
 

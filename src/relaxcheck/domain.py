@@ -32,11 +32,24 @@ Bound = int | float
 _SWAP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
+# Python raises OverflowError when an int past float range (about 1.8e308)
+# meets an infinity in `+` or `*`; the bound helpers return the infinity.
+
+def _add_bound(a: Bound, b: Bound) -> Bound:
+    try:
+        return a + b
+    except OverflowError:
+        return a if a.__class__ is float else b
+
+
 def _mul_bound(a: Bound, b: Bound) -> Bound:
     # four-corner helper with 0 * inf = 0
     if a == 0 or b == 0:
         return 0
-    return a * b
+    try:
+        return a * b
+    except OverflowError:
+        return POS_INF if (a > 0) == (b > 0) else NEG_INF
 
 
 class Interval:
@@ -149,12 +162,14 @@ class Interval:
     def add(self, other: "Interval") -> "Interval":
         if self.is_bottom or other.is_bottom:
             return _BOTTOM
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        return Interval(_add_bound(self.lo, other.lo),
+                        _add_bound(self.hi, other.hi))
 
     def sub(self, other: "Interval") -> "Interval":
         if self.is_bottom or other.is_bottom:
             return _BOTTOM
-        return Interval(self.lo - other.hi, self.hi - other.lo)
+        return Interval(_add_bound(self.lo, -other.hi),
+                        _add_bound(self.hi, -other.lo))
 
     def mul(self, other: "Interval") -> "Interval":
         if self.is_bottom or other.is_bottom:

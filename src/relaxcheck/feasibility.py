@@ -27,7 +27,10 @@ context, as the closure of their edges (`deduce_mhb`, with `ir.closure`).
 store -> load edge and applies rule (4) until nothing changes.  Both ways
 of asking use it and `must_not_read_from` (rules (5) and (6)):
 
-- `check_facts` decides one fact set from the base rows.
+- `check_facts` decides one fact set from the base rows, and keeps each
+  answer in `_cache`, the context's one memo.  The analyzer asks it only
+  single-fact sets, one per (load, candidate) in every bootstrap round, so
+  the memo answers every round after the first.
 - `extend` is one step of a depth-first enumeration: it adds a single fact
   to the rows of a feasible prefix and re-checks rules (5) and (6) for the
   facts the new one can affect.  The rules are monotone in the facts, so a
@@ -35,27 +38,16 @@ of asking use it and `must_not_read_from` (rules (5) and (6)):
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .ir import bits, closure
+from .ir import MemoryModel, bits, closure
 from .relations import RelationStore
 
 
 Fact = tuple[int, int]  # reads-from: (load node, store node)
 #: a depth-first enumeration's state: MHB rows closed under the facts
 Prefix = tuple[list[int], tuple[Fact, ...]]
-
-
-class MemoryModel(enum.Enum):
-    SC = "sc"
-    TSO = "tso"
-    PSO = "pso"
-    RMO = "rmo"
-
-    def __str__(self) -> str:
-        return self.value.upper()
 
 
 class ContractViolation(Exception):

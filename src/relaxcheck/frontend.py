@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 from . import ir
 from .ir import (
     And, Assert, Assume, BinOp, Cmp, Cond, Const, Expr, Fence, Load,
-    LocalAssign, Membar, Nop, Not, Or, Store, ThreadCreate, ThreadJoin, Var,
-    VarId, negate,
+    LocalAssign, Membar, MemoryModel, Nop, Not, Or, Store, ThreadCreate,
+    ThreadJoin, Var, VarId, negate,
 )
-
-MODELS = ("sc", "tso", "pso", "rmo")
 
 
 class ParseError(Exception):
@@ -91,22 +89,9 @@ class WhileStmt(Stmt):
 
 
 @dataclass
-class CreateStmt(Stmt):
-    target: str = ""
-
-
-@dataclass
-class JoinStmt(Stmt):
-    target: str = ""
-
-
-@dataclass
-class LockStmt(Stmt):
-    target: str = ""
-
-
-@dataclass
-class UnlockStmt(Stmt):
+class CallStmt(Stmt):
+    """`kind(target);` for kind create, join, lock or unlock."""
+    kind: str = ""
     target: str = ""
 
 
@@ -270,10 +255,9 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
     def program(self) -> SourceProgram:
         model = None
-        if self.peek().kind == "kw" and self.peek().text == "model":
-            self.next()
+        if self.accept("kw", "model"):
             tok = self.expect("ident")
-            if tok.text not in MODELS:
+            if tok.text not in {m.value for m in MemoryModel}:
                 self.error(f"unknown memory model {tok.text!r}", tok)
             model = tok.text
             self.expect("op", ";")
@@ -296,13 +280,13 @@ class _Parser:
             threads.append(self.thread_block())
         if not threads:
             self.error("expected at least one 'thread' block")
+        self.locals = set()  # top-level asserts read globals only
         epilogue = []
         while self.peek().kind == "kw" and self.peek().text == "assert":
             epilogue.append(self.assert_stmt())
         if self.peek().kind != "eof":
             self.error(f"unexpected {self.peek().text!r}")
-        self._check_thread_targets(threads)
-        self._check_creates(threads)
+        self._check_calls(threads)
         return SourceProgram(model, decls, threads, epilogue)
 
     def _int_literal(self) -> int:
@@ -337,10 +321,8 @@ class _Parser:
                 "local": self.local_stmt, "fence": self.fence_stmt,
                 "membar": self.membar_stmt, "assert": self.assert_stmt,
                 "if": self.if_stmt, "while": self.while_stmt,
-                "create": lambda: self.call_stmt("create", CreateStmt),
-                "join": lambda: self.call_stmt("join", JoinStmt),
-                "lock": lambda: self.call_stmt("lock", LockStmt),
-                "unlock": lambda: self.call_stmt("unlock", UnlockStmt),
+                "create": self.call_stmt, "join": self.call_stmt,
+                "lock": self.call_stmt, "unlock": self.call_stmt,
             }.get(tok.text)
             if handler is None:
                 self.error(f"unexpected keyword {tok.text!r}")
@@ -385,19 +367,21 @@ class _Parser:
         self.expect("op", ";")
         return MembarStmt(kw.line, kw.col, tuple(kinds))
 
-    def assert_stmt(self) -> AssertStmt:
-        kw = self.expect("kw", "assert")
+    def keyword_cond(self, text: str) -> tuple[Token, Cond]:
+        """`text ( cond )`: the keyword's token and the condition."""
+        kw = self.expect("kw", text)
         self.expect("op", "(")
         cond = self.bounded(self.cond(), kw)
         self.expect("op", ")")
+        return kw, cond
+
+    def assert_stmt(self) -> AssertStmt:
+        kw, cond = self.keyword_cond("assert")
         self.expect("op", ";")
         return AssertStmt(kw.line, kw.col, cond)
 
     def if_stmt(self) -> IfStmt:
-        kw = self.expect("kw", "if")
-        self.expect("op", "(")
-        cond = self.bounded(self.cond(), kw)
-        self.expect("op", ")")
+        kw, cond = self.keyword_cond("if")
         then = self.block()
         els: list[Stmt] = []
         if self.accept("kw", "else"):
@@ -405,36 +389,32 @@ class _Parser:
         return IfStmt(kw.line, kw.col, cond, then, els)
 
     def while_stmt(self) -> WhileStmt:
-        kw = self.expect("kw", "while")
-        self.expect("op", "(")
-        cond = self.bounded(self.cond(), kw)
-        self.expect("op", ")")
+        kw, cond = self.keyword_cond("while")
         body = self.block()
         return WhileStmt(kw.line, kw.col, cond, body)
 
-    def call_stmt(self, kw_text: str, cls):
-        kw = self.expect("kw", kw_text)
+    def call_stmt(self) -> CallStmt:
+        kw = self.expect("kw")
         self.expect("op", "(")
         name = self.ident()
         self.expect("op", ")")
         self.expect("op", ";")
-        return cls(kw.line, kw.col, name.text)
+        return CallStmt(kw.line, kw.col, kw.text, name.text)
 
-    def _check_thread_targets(self, threads: list[ThreadBlock]) -> None:
-        names = {t.name for t in threads}
+    def _check_calls(self, threads: list[ThreadBlock]) -> None:
+        """Reject, in this order: a create or join of an unknown thread; a
+        thread created at two sites, at the second one; and a thread that
+        creates itself, directly or through the threads it creates, at the
+        create statement closing the cycle."""
+        creates: dict[str, list] = {t.name: [] for t in threads}
         for t in threads:
             for s in _nested_stmts(t.stmts):
-                if (isinstance(s, (CreateStmt, JoinStmt))
-                        and s.target not in names):
-                    raise ParseError(f"unknown thread {s.target!r}",
-                                     s.line, s.col)
-
-    def _check_creates(self, threads: list[ThreadBlock]) -> None:
-        """Reject a thread created at two sites, at the second one, and a
-        thread that creates itself, directly or through the threads it
-        creates, at the create statement closing the cycle."""
-        creates = {t.name: [(s.target, s) for s in _nested_stmts(t.stmts)
-                            if isinstance(s, CreateStmt)] for t in threads}
+                if isinstance(s, CallStmt) and s.kind in ("create", "join"):
+                    if s.target not in creates:
+                        raise ParseError(f"unknown thread {s.target!r}",
+                                         s.line, s.col)
+                    if s.kind == "create":
+                        creates[t.name].append((s.target, s))
         created: set[str] = set()
         for child, s in (edge for edges in creates.values() for edge in edges):
             if child in created:
@@ -497,7 +477,8 @@ class _Parser:
     def cond_unary(self) -> Cond:
         if self.accept("op", "!"):
             return Not(self.cond_unary())
-        # Try 'expr CMP expr' first; fall back to a parenthesized condition.
+        # Try 'expr CMP expr', then a parenthesized condition; when both fail,
+        # report the error further into the input, the comparison's on a tie.
         mark = self.pos
         try:
             left = self.expr()
@@ -508,11 +489,17 @@ class _Parser:
             raise ParseError("expected comparison operator", tok.line, tok.col)
         except NestingError:
             raise
-        except ParseError:
+        except ParseError as e:
             self.pos = mark
-        self.expect("op", "(")
-        inner = self.cond()
-        self.expect("op", ")")
+            first = e
+        try:
+            self.expect("op", "(")
+            inner = self.cond()
+            self.expect("op", ")")
+        except NestingError:
+            raise
+        except ParseError as e:
+            raise max(first, e, key=lambda err: (err.line, err.col)) from None
         return inner
 
 
@@ -564,14 +551,8 @@ def _print_stmts(stmts: list[Stmt], out: list[str], indent: str) -> None:
             out.append(f"{indent}while ({s.cond}) {{")
             _print_stmts(s.body, out, indent + "  ")
             out.append(f"{indent}}}")
-        elif isinstance(s, CreateStmt):
-            out.append(f"{indent}create({s.target});")
-        elif isinstance(s, JoinStmt):
-            out.append(f"{indent}join({s.target});")
-        elif isinstance(s, LockStmt):
-            out.append(f"{indent}lock({s.target});")
-        elif isinstance(s, UnlockStmt):
-            out.append(f"{indent}unlock({s.target});")
+        elif isinstance(s, CallStmt):
+            out.append(f"{indent}{s.kind}({s.target});")
         else:
             raise TypeError(s)
 
@@ -613,7 +594,6 @@ class _Lowerer:
         self.counter = 0
         self.temp_counter = 0
         self.global_vars = {name: VarId(name) for name, _ in ast.globals}
-        self.explicitly_created = self._explicit_creates()
 
     def _ids(self) -> int:
         n = self.counter
@@ -624,10 +604,6 @@ class _Lowerer:
         v = VarId(f"__t{self.temp_counter}", thread)
         self.temp_counter += 1
         return v
-
-    def _explicit_creates(self) -> set[str]:
-        return {s.target for t in self.ast.threads
-                for s in _nested_stmts(t.stmts) if isinstance(s, CreateStmt)}
 
     def lower(self) -> ir.Program:
         graphs: dict[str, ir.FlowGraph] = {}
@@ -649,8 +625,11 @@ class _Lowerer:
         for name, init in self.ast.globals:
             init_stores[self.global_vars[name]] = root.append(
                 Store(self.global_vars[name], Const(init)))
+        created = {instr.child for g in graphs.values()
+                   for instr in g.nodes.values()
+                   if isinstance(instr, ThreadCreate)}
         top_level = [t.name for t in self.ast.threads
-                     if t.name not in self.explicitly_created]
+                     if t.name not in created]
         for name in top_level:
             root.append(ThreadCreate(name))
         for name in top_level:
@@ -682,17 +661,14 @@ class _Lowerer:
                 b.append(LocalAssign(VarId(s.name, b.thread), expr))
         elif isinstance(s, FenceStmt):
             b.append(Fence())
-        elif isinstance(s, (LockStmt, UnlockStmt)):
-            b.append(Fence())
+        elif isinstance(s, CallStmt):
+            call = {"create": ThreadCreate, "join": ThreadJoin}.get(s.kind)
+            b.append(Fence() if call is None else call(s.target))
         elif isinstance(s, MembarStmt):
             b.append(Membar(frozenset(s.kinds)))
         elif isinstance(s, AssertStmt):
             cond = self._hoist_cond(b, s.cond)
             b.append(Assert(cond, f"{s.line}:{s.col}"))
-        elif isinstance(s, CreateStmt):
-            b.append(ThreadCreate(s.target))
-        elif isinstance(s, JoinStmt):
-            b.append(ThreadJoin(s.target))
         elif isinstance(s, IfStmt):
             self._if(b, s)
         elif isinstance(s, WhileStmt):

@@ -9,10 +9,12 @@ dominators and loop nodes once.  Every per-node node set of the package,
 and every node set of the static relations (`relations.py`), is an int
 mask indexed by node id: bit n stands for node n, `bits` lists the nodes
 of a mask, and `closure` is the package's one transitive closure over
-such masks, for reachability and MHB alike.
+such masks, for reachability and MHB alike.  `MemoryModel` names the
+memory models for the front end, the analyzer and the oracle.
 """
 from __future__ import annotations
 
+import enum
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -186,6 +188,16 @@ class Fence:
 
 
 MEMBAR_KINDS = ("LL", "LS", "SL", "SS")
+
+
+class MemoryModel(enum.Enum):
+    SC = "sc"
+    TSO = "tso"
+    PSO = "pso"
+    RMO = "rmo"
+
+    def __str__(self) -> str:
+        return self.value.upper()
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .feasibility import MemoryModel
 from .ir import (
     And, Assert, Assume, BinOp, Cond, Const, Expr, Fence, FlowGraph, Load,
-    LocalAssign, Membar, Nop, Not, Or, Program, Store, ThreadCreate,
-    ThreadJoin, Var, VarId, cond_vars, expr_vars,
+    LocalAssign, Membar, MemoryModel, Nop, Not, Or, Program, Store,
+    ThreadCreate, ThreadJoin, Var, VarId, cond_vars, expr_vars,
 )
 
 
@@ -189,11 +188,9 @@ class _ThreadTrace:
                 self.events.append(_Event(next_occ(), thread, node, "fence"))
             elif isinstance(instr, Membar):
                 membar_positions.append((len(self.events), instr.kinds))
-            elif isinstance(instr, ThreadCreate):
-                self.events.append(_Event(next_occ(), thread, node, "create",
-                                          value=instr.child))
-            elif isinstance(instr, ThreadJoin):
-                self.events.append(_Event(next_occ(), thread, node, "join",
+            elif isinstance(instr, (ThreadCreate, ThreadJoin)):
+                kind = "create" if isinstance(instr, ThreadCreate) else "join"
+                self.events.append(_Event(next_occ(), thread, node, kind,
                                           value=instr.child))
             elif isinstance(instr, (Assume, Assert)):
                 cond = _subst(instr.cond, locals_env)

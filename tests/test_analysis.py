@@ -15,7 +15,7 @@ from relaxcheck.analysis import (
 from relaxcheck.domain import POS_INF, AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
-from relaxcheck.ir import Load, VarId
+from relaxcheck.ir import Load, Store, VarId
 from relaxcheck.oracle import violates
 from relaxcheck.relations import extract_all
 
@@ -100,10 +100,10 @@ def test_overflow_falls_back_to_joined_analysis():
 
 
 def test_loop_fallback_excludes_refuted_candidate():
-    # A loop load can never read a store that is only reachable after the
-    # loop's own thread has been joined.
+    # A load of spin can never read a store that main makes only after
+    # joining spin: rule (5) refutes it under every model.
     text = """
-    global x = 0, done = 0;
+    global done = 0;
 
     thread spin {
       local d = done;
@@ -112,23 +112,23 @@ def test_loop_fallback_excludes_refuted_candidate():
       }
     }
 
-    thread after {
-      x = 1;
+    thread main {
+      join(spin);
+      done = 1;
     }
     """
     prog, _ = parse_and_lower(text)
     relstore = extract_all(prog)
-    ctx = FeasibilityContext(relstore, SC)
-    g = prog.threads["after"]
-    s_x = next(n for n in g.nodes
-               if type(g.nodes[n]).__name__ == "Store")
+    main = prog.threads["main"]
+    s_done = next(n for n in main.nodes if isinstance(main.nodes[n], Store))
     spin = prog.threads["spin"]
-    l_done = next(n for n in sorted(spin.nodes)
-                  if isinstance(spin.nodes[n], Load))
-    # wrong-variable store contributes nothing to a load of done
-    env = loop_fallback_env(l_done, spin.nodes[l_done].src, [],
-                            {s_x: AbstractEnv()}, ctx, {})
-    assert env.is_bottom
+    l_done = min(n for n in spin.nodes if isinstance(spin.nodes[n], Load))
+    var = spin.nodes[l_done].src
+    store_envs = {s_done: AbstractEnv({var: Interval.const(1)})}
+    for model in MODELS:
+        ctx = FeasibilityContext(relstore, model)
+        env = loop_fallback_env(l_done, var, [s_done], store_envs, ctx)
+        assert env.is_bottom, model
 
 
 # Thread b reads x only inside a loop, so x = 1 of thread a reaches the
@@ -205,9 +205,10 @@ def _bootstrap_closure(prog, model):
     candidates = collect_candidates(relstore)
     env_map, store_envs, _, boot_joined = bootstrap_fixpoint(
         prog, relstore, ctx, candidates, ThreadRuns(prog, initial_env(prog)))
-    # a fresh record of the surviving candidates: decided anew, not reused
+    # the surviving candidates decided anew, by a context with an empty memo
+    fresh = FeasibilityContext(relstore, model)
     joined = {l: loop_fallback_env(l, relstore.load_var[l], stores,
-                                   store_envs, ctx, {})
+                                   store_envs, fresh)
               for l, stores in candidates.items()}
     assert boot_joined == joined
     for graph in prog.threads.values():

@@ -136,6 +136,28 @@ def test_thread_creation_cycle_exit_two(tmp_path, capsys, text):
     assert err.startswith(f"{cyclic}:") and "creation cycle" in err
 
 
+def test_top_level_assert_reading_a_thread_local_exit_two(tmp_path, capsys):
+    # once ALARM: lowering read r as an uninitialised epilogue local
+    scope = tmp_path / "scope.lit"
+    scope.write_text("global x;\nthread t { local r = 5; }\nassert(r == 0);\n")
+    code, out, err = _run(capsys, "--oracle", str(scope))
+    assert code == 2 and out == ""
+    assert err == f"{scope}:3:8: undeclared identifier 'r'\n"
+
+
+@pytest.mark.parametrize("op", ["*", "+"])
+def test_huge_constant_against_an_infinite_bound_exit_zero(tmp_path, capsys,
+                                                           op):
+    # once exit 3: OverflowError converting the int to float
+    huge = tmp_path / "huge.lit"
+    huge.write_text("global x;\nthread t { local i = 0; while (i < 5) "
+                    f"{{ i = i + 1; }} local r = i {op} 1{'0' * 400}; "
+                    "assert(r > 0); }\n")
+    code, out, err = _run(capsys, str(huge))
+    assert code == 0 and err == ""
+    assert out.startswith(f"{huge}:2: PROVED under SC\n")
+
+
 def test_thread_created_at_two_sites_exit_two(tmp_path, capsys):
     # once PROVED under every model, though the oracle finds a violation
     two_sites = tmp_path / "two_sites.lit"

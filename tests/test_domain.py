@@ -114,6 +114,25 @@ def test_interval_mul_four_corners():
     assert iv(0, 0).mul(Interval(NEG_INF, POS_INF)) == iv(0, 0)
 
 
+HUGE = 10 ** 400  # past float range: Python cannot convert it to float
+
+
+def test_huge_bounds_meet_infinite_ones():
+    huge, top = iv(HUGE, HUGE), Interval.top()
+    assert iv(1, POS_INF).add(huge) == iv(HUGE + 1, POS_INF)
+    assert Interval(NEG_INF, 5).add(huge) == Interval(NEG_INF, HUGE + 5)
+    assert top.add(huge) == top and huge.add(top) == top
+    assert huge.sub(iv(0, POS_INF)) == Interval(NEG_INF, HUGE)
+    assert iv(1, POS_INF).sub(huge) == iv(1 - HUGE, POS_INF)
+    assert top.sub(huge) == top and huge.sub(top) == top
+    assert iv(1, POS_INF).mul(huge) == iv(HUGE, POS_INF)
+    assert Interval(NEG_INF, -1).mul(huge) == Interval(NEG_INF, -HUGE)
+    assert iv(-HUGE, HUGE).mul(top) == top
+    assert iv(0, POS_INF).mul(huge) == iv(0, POS_INF)
+    # a huge int on both sides stays exact
+    assert huge.mul(huge) == iv(HUGE * HUGE, HUGE * HUGE)
+
+
 def test_eval_expr_mixed():
     env = AbstractEnv({A: iv(1, 2), B: iv(3, 4)})
     e = BinOp("-", BinOp("*", Var(A), Var(B)), Const(1))

@@ -66,6 +66,32 @@ def test_parse_undeclared_identifier():
         parse("global x;\nthread t { y = 1; }")
 
 
+def test_top_level_assert_cannot_read_a_thread_local():
+    # the last thread's locals are out of scope after its block
+    with pytest.raises(ParseError) as e:
+        parse("global x;\nthread t { local r = 5; }\nassert(r == 0);\n")
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "undeclared identifier 'r'", 3, 8)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    # both attempts fail at zz: the comparison's error wins the tie
+    ("global x;\nthread t { assert(zz == 0); }", "undeclared identifier 'zz'",
+     2, 19),
+    # the comparison gets further than the parenthesized condition
+    ("global x;\nthread t { if (x == zz) { x = 1; } }",
+     "undeclared identifier 'zz'", 2, 21),
+    # the parenthesized condition gets further than the comparison
+    ("global x;\nthread t { assert((x == 1) && (x ==)); }",
+     "expected expression, found ')'", 2, 36),
+], ids=["tie", "comparison-further", "parenthesized-further"])
+def test_condition_error_is_the_one_further_into_the_input(text, message,
+                                                          line, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
 def test_parse_duplicate_global():
     with pytest.raises(ParseError, match="duplicate"):
         parse("global x; global x;\nthread t { x = 1; }")

@@ -47,3 +47,6 @@ def test_every_traced_name_is_present_and_called():
     assert tracer.absent == set()
     assert {name for name in ANALYZER_NAMES
             if tracer.calls[name] == 0} == set()
+    # the feasibility memo answers the bootstrap's repeated single-fact
+    # queries
+    assert tracer.counts["feasibility.cache_hits"] > 0
