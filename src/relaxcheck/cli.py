@@ -2,10 +2,11 @@
 
 Exit status: 0 = all asserts proved; 1 = at least one alarm; 2 = usage or
 parse error, including unreadable or non-UTF-8 input, input nested too
-deeply and thread creation cycles; 3 = internal error: a failed invariant
-or a bug in lowering, the analysis, --emit-relations or --oracle (reported
-in one line, never as a traceback), or (--oracle) a soundness disagreement
-with the oracle.  A reader that closes stdout early changes no exit code.
+deeply, an integer literal too long, thread creation cycles and bad flag
+values; 3 = internal error: any exception after argument parsing, writing
+the report included (reported in one line, never as a traceback), or
+(--oracle) a soundness disagreement with the oracle.  A reader that closes
+stdout early changes no exit code.
 """
 from __future__ import annotations
 
@@ -55,87 +56,80 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        with open(args.input, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        print(f"error: cannot read {args.input}: {e.strerror}",
-              file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as e:
-        print(f"error: cannot read {args.input}: not UTF-8 text "
-              f"(byte {e.start})", file=sys.stderr)
-        return 2
-    try:
-        ast = parse(text)
-    except ParseError as e:
-        print(f"{args.input}:{e}", file=sys.stderr)
-        return 2
-    try:
-        program = lower(ast)
-    except Exception as e:  # a bug in lowering: never exit 1 (ALARM)
-        return _internal_error(e)
-    if args.max_combinations < 1:
-        print("error: --max-combinations must be positive", file=sys.stderr)
-        return 2
-    for flag, budget in (("--oracle-max-events", args.oracle_max_events),
-                         ("--oracle-max-loop-iters",
-                          args.oracle_max_loop_iters)):
-        if budget < 0:
-            print(f"error: {flag} must be non-negative", file=sys.stderr)
-            return 2
-
-    model = MemoryModel(args.model or ast.model or "sc")
-
-    if args.emit_relations:
         try:
-            _report(lambda: _print_lines(_relation_dump(program, model)))
-        except Exception as e:  # a bug, also mid-stream: never a traceback
-            return _internal_error(e)
-        return 0
+            with open(args.input, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as e:
+            print(f"error: cannot read {args.input}: {e.strerror}",
+                  file=sys.stderr)
+            return 2
+        except UnicodeDecodeError as e:
+            print(f"error: cannot read {args.input}: not UTF-8 text "
+                  f"(byte {e.start})", file=sys.stderr)
+            return 2
+        try:
+            ast = parse(text)
+        except ParseError as e:
+            print(f"{args.input}:{e}", file=sys.stderr)
+            return 2
+        program = lower(ast)
+        if args.max_combinations < 1:
+            print("error: --max-combinations must be positive",
+                  file=sys.stderr)
+            return 2
+        for flag, budget in (("--oracle-max-events", args.oracle_max_events),
+                             ("--oracle-max-loop-iters",
+                              args.oracle_max_loop_iters)):
+            if budget < 0:
+                print(f"error: {flag} must be non-negative", file=sys.stderr)
+                return 2
 
-    started = time.monotonic()
-    try:
+        model = MemoryModel(args.model or ast.model or "sc")
+        if args.emit_relations:
+            _report(lambda: _print_lines(_relation_dump(program, model)))
+            return 0
+
+        started = time.monotonic()
         env_map, verdicts, stats = analysis.analyze_all(
             program, model, cap=args.max_combinations)
-    except Exception as e:  # AnalysisError or a bug: never exit 1 (ALARM)
-        return _internal_error(e)
-    wall = time.monotonic() - started
+        wall = time.monotonic() - started
 
-    oracle_flags: dict[int, bool] | None = None
-    oracle_error: str | None = None
-    if args.oracle:
-        try:
-            oracle_flags = oracle.violates(
-                program, model, max_events=args.oracle_max_events,
-                max_loop_iters=args.oracle_max_loop_iters)
-        except oracle.OracleLimitError as e:
-            oracle_error = str(e)
-        except Exception as e:  # a bug: never exit 1 (ALARM)
-            return _internal_error(e)
+        oracle_flags: dict[int, bool] | None = None
+        oracle_error: str | None = None
+        if args.oracle:
+            try:
+                oracle_flags = oracle.violates(
+                    program, model, max_events=args.oracle_max_events,
+                    max_loop_iters=args.oracle_max_loop_iters)
+            except oracle.OracleLimitError as e:
+                oracle_error = str(e)
 
-    annotations: dict[int, str] = {}
-    if oracle_flags is not None:
-        for v in verdicts:
-            violated = oracle_flags.get(v.node, False)
-            if violated and v.status == "PROVED":
-                annotations[v.node] = "SOUNDNESS BUG"
-            elif not violated and v.status == "ALARM":
-                annotations[v.node] = "analyzer imprecise"
-            else:
-                annotations[v.node] = "agree"
+        annotations: dict[int, str] = {}
+        if oracle_flags is not None:
+            for v in verdicts:
+                violated = oracle_flags.get(v.node, False)
+                if violated and v.status == "PROVED":
+                    annotations[v.node] = "SOUNDNESS BUG"
+                elif not violated and v.status == "ALARM":
+                    annotations[v.node] = "analyzer imprecise"
+                else:
+                    annotations[v.node] = "agree"
 
-    if args.format == "json":
-        _report(lambda: print(json.dumps(
-            _json_report(args.input, model, verdicts, stats, wall,
-                         annotations, oracle_error),
-            indent=2, sort_keys=True)))
-    else:
-        _report(lambda: _print_text(args.input, model, verdicts, stats, wall,
-                                    annotations, oracle_error))
-
-    if "SOUNDNESS BUG" in annotations.values():
+        if args.format == "json":
+            _report(lambda: print(json.dumps(
+                _json_report(args.input, model, verdicts, stats, wall,
+                             annotations, oracle_error),
+                indent=2, sort_keys=True)))
+        else:
+            _report(lambda: _print_text(args.input, model, verdicts, stats,
+                                        wall, annotations, oracle_error))
+        if "SOUNDNESS BUG" in annotations.values():
+            return 3
+        return 1 if any(v.status == "ALARM" for v in verdicts) else 0
+    except Exception as e:  # a bug anywhere, the report included: one line,
+        # never a traceback and never exit 1 (ALARM)
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    return 1 if any(v.status == "ALARM" for v in verdicts) else 0
 
 
 def _report(write) -> None:
@@ -147,11 +141,6 @@ def _report(write) -> None:
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _internal_error(e: Exception) -> int:
-    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-    return 3
 
 
 def _print_text(path, model, verdicts, stats, wall, annotations,

@@ -227,6 +227,15 @@ class _Parser:
             self.error(f"expected {expected!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
+    def int_value(self, tok: Token) -> int:
+        """The value of an 'int' token.  A literal past Python's limit on
+        converting strings to int (4,300 digits by default) is an error."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.error(f"integer literal too long ({len(tok.text)} digits)",
+                       tok)
+
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self.peek()
         if tok.kind == kind and (text is None or tok.text == text):
@@ -291,8 +300,8 @@ class _Parser:
 
     def _int_literal(self) -> int:
         neg = bool(self.accept("op", "-"))
-        tok = self.expect("int")
-        return -int(tok.text) if neg else int(tok.text)
+        value = self.int_value(self.expect("int"))
+        return -value if neg else value
 
     def thread_block(self) -> ThreadBlock:
         kw = self.expect("kw", "thread")
@@ -451,8 +460,7 @@ class _Parser:
             return BinOp("-", Const(0), self.factor())
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            return Const(int(tok.text))
+            return Const(self.int_value(self.next()))
         if tok.kind == "ident":
             name = self.ident()
             if name.text not in self.globals and name.text not in self.locals:

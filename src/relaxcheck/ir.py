@@ -159,17 +159,11 @@ class Load:
     dst: VarId  # local
     src: VarId  # global
 
-    def __str__(self) -> str:
-        return f"{self.dst} = load {self.src}"
-
 
 @dataclass(frozen=True)
 class Store:
     dst: VarId  # global
     src: Expr   # pure expression over locals/constants
-
-    def __str__(self) -> str:
-        return f"store {self.dst} = {self.src}"
 
 
 @dataclass(frozen=True)
@@ -177,14 +171,10 @@ class LocalAssign:
     dst: VarId
     src: Expr
 
-    def __str__(self) -> str:
-        return f"{self.dst} = {self.src}"
-
 
 @dataclass(frozen=True)
 class Fence:
-    def __str__(self) -> str:
-        return "fence"
+    pass
 
 
 MEMBAR_KINDS = ("LL", "LS", "SL", "SS")
@@ -204,16 +194,10 @@ class MemoryModel(enum.Enum):
 class Membar:
     kinds: frozenset[str]
 
-    def __str__(self) -> str:
-        return "membar " + " ".join(f"#{k}" for k in sorted(self.kinds))
-
 
 @dataclass(frozen=True)
 class Assume:
     cond: Cond
-
-    def __str__(self) -> str:
-        return f"assume {self.cond}"
 
 
 @dataclass(frozen=True)
@@ -221,30 +205,20 @@ class Assert:
     cond: Cond
     location: str = ""
 
-    def __str__(self) -> str:
-        return f"assert {self.cond}"
-
 
 @dataclass(frozen=True)
 class ThreadCreate:
     child: str
-
-    def __str__(self) -> str:
-        return f"create {self.child}"
 
 
 @dataclass(frozen=True)
 class ThreadJoin:
     child: str
 
-    def __str__(self) -> str:
-        return f"join {self.child}"
-
 
 @dataclass(frozen=True)
 class Nop:
-    def __str__(self) -> str:
-        return "nop"
+    pass
 
 
 Instruction = (

@@ -13,6 +13,7 @@ import pytest
 import relaxcheck
 from relaxcheck import analysis, cli, oracle
 from relaxcheck.cli import run
+from relaxcheck.feasibility import FeasibilityContext
 from relaxcheck.frontend import parse_and_lower
 from relaxcheck.relations import extract_all
 
@@ -158,6 +159,16 @@ def test_huge_constant_against_an_infinite_bound_exit_zero(tmp_path, capsys,
     assert out.startswith(f"{huge}:2: PROVED under SC\n")
 
 
+def test_literal_past_the_int_conversion_limit_exit_two(tmp_path, capsys):
+    # once a traceback and exit 1 (ALARM): int() refuses 5,001 digits
+    long_lit = tmp_path / "long_lit.lit"
+    long_lit.write_text(
+        f"global x;\nthread t {{ local r = 1{'0' * 5000}; assert(r > 0); }}\n")
+    code, out, err = _run(capsys, str(long_lit))
+    assert code == 2 and out == ""
+    assert err == f"{long_lit}:2:22: integer literal too long (5001 digits)\n"
+
+
 def test_thread_created_at_two_sites_exit_two(tmp_path, capsys):
     # once PROVED under every model, though the oracle finds a violation
     two_sites = tmp_path / "two_sites.lit"
@@ -171,25 +182,8 @@ def test_thread_created_at_two_sites_exit_two(tmp_path, capsys):
     assert err.startswith(f"{two_sites}:3:10: ") and "two sites" in err
 
 
-def test_unexpected_analysis_exception_exit_three(capsys, monkeypatch):
-    def broken(*args, **kwargs):
-        raise KeyError(7)
-
-    monkeypatch.setattr(analysis, "analyze_all", broken)
-    code, out, err = _run(capsys, _corpus("seq1.lit"))
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: KeyError")
-
-
 def _raise_value_error(*args, **kwargs):
     raise ValueError("broken")
-
-
-def test_lowering_exception_exit_three(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "lower", _raise_value_error)
-    code, out, err = _run(capsys, _corpus("seq1.lit"))
-    assert code == 3 and out == ""
-    assert err == "internal error: ValueError: broken\n"
 
 
 def test_emit_relations_exception_exit_three(capsys, monkeypatch):
@@ -212,12 +206,35 @@ def test_emit_relations_exception_mid_stream_exit_three(capsys,
     assert err == "internal error: ValueError: broken\n"
 
 
-def test_oracle_exception_exit_three(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "violates", _raise_value_error)
-    code, out, err = _run(capsys, "--oracle", _corpus("seq1.lit"))
+def _planted_failure(owner, name):
+    original = getattr(owner, name)
+    if name == "relation_facts":  # fail mid-stream, after the first fact
+        def planted(ctx):
+            yield next(original(ctx))
+            raise RuntimeError(f"planted in {name}")
+    else:
+        def planted(*args, **kwargs):
+            raise RuntimeError(f"planted in {name}")
+    return planted
+
+
+@pytest.mark.parametrize("owner, name, flags", [
+    (cli, "parse", []),
+    (cli, "lower", []),
+    (FeasibilityContext, "relation_facts", ["--emit-relations"]),
+    (analysis, "analyze_all", []),
+    (oracle, "violates", ["--oracle"]),
+    (cli, "_print_text", []),
+    (cli, "_json_report", ["--format", "json"]),
+], ids=["parse", "lower", "relation-facts", "analyze-all", "oracle",
+        "text-report", "json-report"])
+def test_failure_in_any_phase_is_one_internal_error_line(capsys, monkeypatch,
+                                                         owner, name, flags):
+    # once a traceback out of run for parse and for both reports
+    monkeypatch.setattr(owner, name, _planted_failure(owner, name))
+    code, out, err = _run(capsys, *flags, _corpus("seq1.lit"))
     assert code == 3 and out == ""
-    assert err == "internal error: ValueError: broken\n"
-    assert "Traceback" not in err
+    assert err == f"internal error: RuntimeError: planted in {name}\n"
 
 
 def test_bad_cap_exit_two(capsys):

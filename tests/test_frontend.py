@@ -92,6 +92,19 @@ def test_condition_error_is_the_one_further_into_the_input(text, message,
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
 
 
+@pytest.mark.parametrize("text, line, col", [
+    (f"global x;\nthread t {{ local r = 1{'0' * 5000}; }}", 2, 22),
+    (f"global x = -1{'0' * 5000};\nthread t {{ x = 1; }}", 1, 13),
+], ids=["expression", "global-initialiser"])
+def test_literal_past_the_int_conversion_limit_is_a_parse_error(text, line,
+                                                                 col):
+    # once a ValueError out of int(): a traceback and exit 1 (ALARM)
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "integer literal too long (5001 digits)", line, col)
+
+
 def test_parse_duplicate_global():
     with pytest.raises(ParseError, match="duplicate"):
         parse("global x; global x;\nthread t { x = 1; }")

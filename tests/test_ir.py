@@ -136,8 +136,7 @@ def test_two_parses_yield_identical_graphs():
         g1, g2 = p1.threads[name], p2.threads[name]
         assert g1.entry == g2.entry and g1.exit == g2.exit
         assert g1.edges == g2.edges
-        assert {n: str(i) for n, i in g1.nodes.items()} \
-            == {n: str(i) for n, i in g2.nodes.items()}
+        assert g1.nodes == g2.nodes
 
 
 def test_loads_and_stores_name_exactly_one_global():
