@@ -41,10 +41,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="cross-check verdicts against exhaustive concrete "
                         "execution enumeration")
-    p.add_argument("--oracle-max-events", type=int, default=12,
+    p.add_argument("--oracle-max-events", type=int,
+                   default=oracle.MAX_EVENTS,
                    help="oracle per-execution memory-event budget "
                         "(default %(default)s)")
-    p.add_argument("--oracle-max-loop-iters", type=int, default=3,
+    p.add_argument("--oracle-max-loop-iters", type=int,
+                   default=oracle.MAX_LOOP_ITERS,
                    help="oracle loop unrolling bound (default %(default)s)")
     p.add_argument("--emit-relations", action="store_true",
                    help="dump the extracted relations and exit")

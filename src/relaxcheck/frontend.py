@@ -1,22 +1,30 @@
-"""Parser and lowering for the textual litmus-program language (.lit files).
+"""Front end for the textual litmus-program language (.lit files).
 
-The surface language allows statements mixing several globals; lowering
-atomizes them so every CFG node touches at most one global:
+`parse` reads the text once and emits, as it reads each thread, the
+thread's flow graph of atomic instructions, each touching at most one
+global:
 
   * ``y = x + 1`` becomes ``Load(__t0, x); Store(y, __t0 + 1)``
-  * conditions over globals load each global occurrence into a fresh
-    local, left to right, immediately before the branch
+  * expressions and conditions over globals load each global occurrence
+    into a fresh local, left to right, immediately before their use
+  * ``if`` branches on ``Assume(c)`` and ``Assume(!c)`` and merges at a
+    ``Nop``; ``while`` re-reads its globals at a head ``Nop`` on every
+    iteration
   * ``lock(m)``/``unlock(m)`` lower to plain fences (mutual exclusion is
     deliberately NOT modeled; this over-approximates interleavings and is
     sound for proving assertions)
-  * trailing top-level asserts become a virtual epilogue thread that the
-    root creates after joining all top-level threads
+  * trailing top-level asserts become a virtual epilogue thread
+
+`lower` adds the root thread, which stores every global's initial value,
+creates and joins the threads that no thread creates, then runs the
+epilogue, and validates the program.
 """
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from itertools import count
 
 from . import ir
 from .ir import (
@@ -38,89 +46,12 @@ class NestingError(ParseError):
     """Input nested deeper than MAX_NESTING."""
 
 
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Stmt:
-    line: int = 0
-    col: int = 0
-
-
-@dataclass
-class AssignStmt(Stmt):
-    target: str = ""
-    expr: Expr = Const(0)
-
-
-@dataclass
-class LocalDeclStmt(Stmt):
-    name: str = ""
-    expr: Expr | None = None
-
-
-@dataclass
-class FenceStmt(Stmt):
-    pass
-
-
-@dataclass
-class MembarStmt(Stmt):
-    kinds: tuple[str, ...] = ()
-
-
-@dataclass
-class AssertStmt(Stmt):
-    cond: Cond = Cmp("==", Const(0), Const(0))
-
-
-@dataclass
-class IfStmt(Stmt):
-    cond: Cond = Cmp("==", Const(0), Const(0))
-    then: list[Stmt] = field(default_factory=list)
-    els: list[Stmt] = field(default_factory=list)
-
-
-@dataclass
-class WhileStmt(Stmt):
-    cond: Cond = Cmp("==", Const(0), Const(0))
-    body: list[Stmt] = field(default_factory=list)
-
-
-@dataclass
-class CallStmt(Stmt):
-    """`kind(target);` for kind create, join, lock or unlock."""
-    kind: str = ""
-    target: str = ""
-
-
-@dataclass
-class ThreadBlock:
-    name: str
-    stmts: list[Stmt]
-    line: int = 0
-    col: int = 0
-
-
 @dataclass
 class SourceProgram:
     model: str | None
     globals: list[tuple[str, int]]
-    threads: list[ThreadBlock]
-    epilogue_asserts: list[AssertStmt] = field(default_factory=list)
-
-
-def _nested_stmts(stmts: list[Stmt]) -> Iterator[Stmt]:
-    """Every statement of stmts and of the if/while bodies within, in
-    source order."""
-    for s in stmts:
-        yield s
-        if isinstance(s, IfStmt):
-            yield from _nested_stmts(s.then)
-            yield from _nested_stmts(s.els)
-        elif isinstance(s, WhileStmt):
-            yield from _nested_stmts(s.body)
+    #: each thread's flow graph in source order, the epilogue (if any) last
+    threads: dict[str, ir.FlowGraph]
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +104,43 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
+# Flow graph construction
+# ---------------------------------------------------------------------------
+
+class _GraphBuilder:
+    """One thread's flow graph, built in program order: `append` links a
+    new node after every current tail and makes it the only tail."""
+
+    def __init__(self, thread: str, ids: Callable[[], int]):
+        self.thread = thread
+        self.ids = ids
+        self.nodes: dict[int, ir.Instruction] = {}
+        self.edges: set[tuple[int, int]] = set()
+        self.tails: list[int] = []
+        self.entry = self.append(Nop())
+
+    def append(self, instr: ir.Instruction) -> int:
+        n = self.ids()
+        self.nodes[n] = instr
+        for t in self.tails:
+            self.edges.add((t, n))
+        self.tails = [n]
+        return n
+
+    def finish(self) -> ir.FlowGraph:
+        exit_node = self.append(Nop())
+        return ir.FlowGraph(self.thread, self.nodes, self.entry, exit_node,
+                            self.edges)
+
+
+# ---------------------------------------------------------------------------
 # Parser (recursive descent with bounded backtracking for conditions)
 # ---------------------------------------------------------------------------
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 #: Deeper blocks, parentheses and expression trees are a ParseError: the
-#: parser, the lowering and the analyzer all recurse on them.
+#: parser, its hoisting and the analyzer recurse on them.
 MAX_NESTING = 100
 
 
@@ -203,9 +164,15 @@ class _Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.globals: dict[str, int] = {}
-        self.threads: list[str] = []
+        self.graphs: dict[str, ir.FlowGraph] = {}
+        self.graph: _GraphBuilder | None = None  # the thread being read
         self.locals: set[str] = set()  # current thread's locals
         self.depth = 0
+        self.ids = count().__next__  # node ids, unique across threads
+        self.temps = count()  # the n of each __t<n> temporary
+        # each create and join site as (thread, keyword token, target), in
+        # source order
+        self.calls: list[tuple[str, Token, str]] = []
 
     # -- token helpers ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -248,6 +215,14 @@ class _Parser:
             self.error("identifiers starting with '__' are reserved", tok)
         return tok
 
+    def variable(self, name: Token) -> VarId:
+        """The global, or the current thread's local, that `name` names."""
+        if name.text in self.globals:
+            return VarId(name.text)
+        if name.text not in self.locals:
+            self.error(f"undeclared identifier {name.text!r}", name)
+        return VarId(name.text, self.graph.thread)
+
     def bounded(self, tree, tok: Token):
         """`tree`, unless it is higher than MAX_NESTING.  Operator chains
         build deep trees without parser recursion, so this walks by level."""
@@ -261,6 +236,25 @@ class _Parser:
                                f"{MAX_NESTING} levels", tok.line, tok.col)
         return tree
 
+    def hoist(self, tree):
+        """`tree`, an expression or condition, with each global read
+        replaced by a fresh local that a Load appended just before fills,
+        left to right."""
+        if isinstance(tree, Var):
+            if not tree.var.is_global:
+                return tree
+            tmp = VarId(f"__t{next(self.temps)}", self.graph.thread)
+            self.graph.append(Load(tmp, tree.var))
+            return Var(tmp)
+        if isinstance(tree, Const):
+            return tree
+        if isinstance(tree, Not):
+            return Not(self.hoist(tree.cond))
+        if isinstance(tree, (BinOp, Cmp)):
+            return type(tree)(tree.op, self.hoist(tree.left),
+                              self.hoist(tree.right))
+        return type(tree)(self.hoist(tree.left), self.hoist(tree.right))
+
     # -- grammar ----------------------------------------------------------
     def program(self) -> SourceProgram:
         model = None
@@ -270,7 +264,6 @@ class _Parser:
                 self.error(f"unknown memory model {tok.text!r}", tok)
             model = tok.text
             self.expect("op", ";")
-        decls: list[tuple[str, int]] = []
         while self.accept("kw", "global"):
             while True:
                 name = self.ident()
@@ -280,50 +273,48 @@ class _Parser:
                 if self.accept("op", "="):
                     init = self._int_literal()
                 self.globals[name.text] = init
-                decls.append((name.text, init))
                 if not self.accept("op", ","):
                     break
             self.expect("op", ";")
-        threads = []
         while self.peek().kind == "kw" and self.peek().text == "thread":
-            threads.append(self.thread_block())
-        if not threads:
+            self.thread_block()
+        if not self.graphs:
             self.error("expected at least one 'thread' block")
         self.locals = set()  # top-level asserts read globals only
-        epilogue = []
-        while self.peek().kind == "kw" and self.peek().text == "assert":
-            epilogue.append(self.assert_stmt())
+        if self.peek().kind == "kw" and self.peek().text == "assert":
+            self.graph = _GraphBuilder(ir.EPILOGUE_THREAD, self.ids)
+            while self.peek().kind == "kw" and self.peek().text == "assert":
+                self.assert_stmt()
+            self.graphs[ir.EPILOGUE_THREAD] = self.graph.finish()
         if self.peek().kind != "eof":
             self.error(f"unexpected {self.peek().text!r}")
-        self._check_calls(threads)
-        return SourceProgram(model, decls, threads, epilogue)
+        self._check_calls()
+        return SourceProgram(model, list(self.globals.items()), self.graphs)
 
     def _int_literal(self) -> int:
         neg = bool(self.accept("op", "-"))
         value = self.int_value(self.expect("int"))
         return -value if neg else value
 
-    def thread_block(self) -> ThreadBlock:
-        kw = self.expect("kw", "thread")
+    def thread_block(self) -> None:
+        self.expect("kw", "thread")
         name = self.ident()
-        if name.text in self.threads:
+        if name.text in self.graphs:
             self.error(f"duplicate thread {name.text!r}", name)
         if name.text in self.globals:
             self.error(f"{name.text!r} is already a global", name)
-        self.threads.append(name.text)
         self.locals = set()
-        stmts = self.block()
-        return ThreadBlock(name.text, stmts, kw.line, kw.col)
+        self.graph = _GraphBuilder(name.text, self.ids)
+        self.block()
+        self.graphs[name.text] = self.graph.finish()
 
     @_nesting
-    def block(self) -> list[Stmt]:
+    def block(self) -> None:
         self.expect("op", "{")
-        stmts = []
         while not self.accept("op", "}"):
-            stmts.append(self.stmt())
-        return stmts
+            self.stmt()
 
-    def stmt(self) -> Stmt:
+    def stmt(self) -> None:
         tok = self.peek()
         if tok.kind == "kw":
             handler = {
@@ -335,22 +326,25 @@ class _Parser:
             }.get(tok.text)
             if handler is None:
                 self.error(f"unexpected keyword {tok.text!r}")
-            return handler()
-        if tok.kind == "ident":
-            return self.assign_stmt()
-        self.error(f"expected statement, found {tok.text or 'end of input'!r}")
+            handler()
+        elif tok.kind == "ident":
+            self.assign_stmt()
+        else:
+            self.error(f"expected statement, found "
+                       f"{tok.text or 'end of input'!r}")
 
-    def assign_stmt(self) -> AssignStmt:
+    def assign_stmt(self) -> None:
         name = self.ident()
-        if name.text not in self.globals and name.text not in self.locals:
-            self.error(f"undeclared identifier {name.text!r}", name)
+        target = self.variable(name)
         self.expect("op", "=")
         expr = self.bounded(self.expr(), name)
         self.expect("op", ";")
-        return AssignStmt(name.line, name.col, name.text, expr)
+        expr = self.hoist(expr)
+        self.graph.append(Store(target, expr) if target.is_global
+                          else LocalAssign(target, expr))
 
-    def local_stmt(self) -> LocalDeclStmt:
-        kw = self.expect("kw", "local")
+    def local_stmt(self) -> None:
+        self.expect("kw", "local")
         name = self.ident()
         if name.text in self.locals or name.text in self.globals:
             self.error(f"duplicate declaration of {name.text!r}", name)
@@ -359,22 +353,24 @@ class _Parser:
             expr = self.bounded(self.expr(), name)
         self.expect("op", ";")
         self.locals.add(name.text)
-        return LocalDeclStmt(kw.line, kw.col, name.text, expr)
+        if expr is not None:
+            expr = self.hoist(expr)
+            self.graph.append(LocalAssign(self.variable(name), expr))
 
-    def fence_stmt(self) -> FenceStmt:
-        kw = self.expect("kw", "fence")
+    def fence_stmt(self) -> None:
+        self.expect("kw", "fence")
         self.expect("op", ";")
-        return FenceStmt(kw.line, kw.col)
+        self.graph.append(Fence())
 
-    def membar_stmt(self) -> MembarStmt:
-        kw = self.expect("kw", "membar")
+    def membar_stmt(self) -> None:
+        self.expect("kw", "membar")
         kinds = []
         while self.peek().kind == "membar_kind":
             kinds.append(self.next().text[1:])
         if not kinds:
             self.error("membar needs at least one kind (#LL #LS #SL #SS)")
         self.expect("op", ";")
-        return MembarStmt(kw.line, kw.col, tuple(kinds))
+        self.graph.append(Membar(frozenset(kinds)))
 
     def keyword_cond(self, text: str) -> tuple[Token, Cond]:
         """`text ( cond )`: the keyword's token and the condition."""
@@ -384,56 +380,75 @@ class _Parser:
         self.expect("op", ")")
         return kw, cond
 
-    def assert_stmt(self) -> AssertStmt:
+    def assert_stmt(self) -> None:
         kw, cond = self.keyword_cond("assert")
         self.expect("op", ";")
-        return AssertStmt(kw.line, kw.col, cond)
+        self.graph.append(Assert(self.hoist(cond), f"{kw.line}:{kw.col}"))
 
-    def if_stmt(self) -> IfStmt:
-        kw, cond = self.keyword_cond("if")
-        then = self.block()
-        els: list[Stmt] = []
+    def if_stmt(self) -> None:
+        _, cond = self.keyword_cond("if")
+        g = self.graph
+        cond = self.hoist(cond)
+        branch_tails = g.tails
+        g.append(Assume(cond))
+        self.block()
+        then_tails = g.tails
+        g.tails = branch_tails
+        g.append(Assume(negate(cond)))
         if self.accept("kw", "else"):
-            els = self.block()
-        return IfStmt(kw.line, kw.col, cond, then, els)
+            self.block()
+        g.tails = then_tails + g.tails
+        g.append(Nop())  # merge point
 
-    def while_stmt(self) -> WhileStmt:
-        kw, cond = self.keyword_cond("while")
-        body = self.block()
-        return WhileStmt(kw.line, kw.col, cond, body)
+    def while_stmt(self) -> None:
+        _, cond = self.keyword_cond("while")
+        g = self.graph
+        head = g.append(Nop())  # loop head: each iteration re-reads globals
+        cond = self.hoist(cond)
+        cond_tails = g.tails
+        g.append(Assume(cond))
+        self.block()
+        for t in g.tails:  # back edge
+            g.edges.add((t, head))
+        g.tails = cond_tails
+        g.append(Assume(negate(cond)))
 
-    def call_stmt(self) -> CallStmt:
+    def call_stmt(self) -> None:
         kw = self.expect("kw")
         self.expect("op", "(")
         name = self.ident()
         self.expect("op", ")")
         self.expect("op", ";")
-        return CallStmt(kw.line, kw.col, kw.text, name.text)
+        call = {"create": ThreadCreate, "join": ThreadJoin}.get(kw.text)
+        if call is None:
+            self.graph.append(Fence())
+        else:
+            self.calls.append((self.graph.thread, kw, name.text))
+            self.graph.append(call(name.text))
 
-    def _check_calls(self, threads: list[ThreadBlock]) -> None:
+    def _check_calls(self) -> None:
         """Reject, in this order: a create or join of an unknown thread; a
         thread created at two sites, at the second one; and a thread that
         creates itself, directly or through the threads it creates, at the
         create statement closing the cycle."""
-        creates: dict[str, list] = {t.name: [] for t in threads}
-        for t in threads:
-            for s in _nested_stmts(t.stmts):
-                if isinstance(s, CallStmt) and s.kind in ("create", "join"):
-                    if s.target not in creates:
-                        raise ParseError(f"unknown thread {s.target!r}",
-                                         s.line, s.col)
-                    if s.kind == "create":
-                        creates[t.name].append((s.target, s))
+        for _, kw, target in self.calls:
+            if target not in self.graphs:
+                raise ParseError(f"unknown thread {target!r}", kw.line,
+                                 kw.col)
+        creates: dict[str, list] = {name: [] for name in self.graphs}
         created: set[str] = set()
-        for child, s in (edge for edges in creates.values() for edge in edges):
-            if child in created:
-                raise ParseError(f"thread {child!r} is created at two sites",
-                                 s.line, s.col)
-            created.add(child)
+        for thread, kw, target in self.calls:
+            if kw.text == "create":
+                if target in created:
+                    raise ParseError(f"thread {target!r} is created at two "
+                                     f"sites", kw.line, kw.col)
+                created.add(target)
+                creates[thread].append((target, (kw, target)))
         closing = ir.creation_cycle(creates)
         if closing is not None:
-            raise ParseError(f"thread creation cycle through "
-                             f"{closing.target!r}", closing.line, closing.col)
+            kw, target = closing
+            raise ParseError(f"thread creation cycle through {target!r}",
+                             kw.line, kw.col)
 
     # -- expressions ------------------------------------------------------
     def expr(self) -> Expr:
@@ -462,10 +477,7 @@ class _Parser:
         if tok.kind == "int":
             return Const(self.int_value(self.next()))
         if tok.kind == "ident":
-            name = self.ident()
-            if name.text not in self.globals and name.text not in self.locals:
-                self.error(f"undeclared identifier {name.text!r}", name)
-            return Var(VarId(name.text))
+            return Var(self.variable(self.ident()))
         self.error(f"expected expression, found {tok.text or 'end of input'!r}")
 
     # -- conditions -------------------------------------------------------
@@ -516,241 +528,35 @@ def parse(text: str) -> SourceProgram:
 
 
 # ---------------------------------------------------------------------------
-# Printer (debugging + round-trip tests)
+# The root thread
 # ---------------------------------------------------------------------------
-
-def print_program(ast: SourceProgram) -> str:
-    out = []
-    if ast.model:
-        out.append(f"model {ast.model};")
-    for name, init in ast.globals:
-        out.append(f"global {name} = {init};")
-    for t in ast.threads:
-        out.append(f"thread {t.name} {{")
-        _print_stmts(t.stmts, out, "  ")
-        out.append("}")
-    for a in ast.epilogue_asserts:
-        out.append(f"assert ({a.cond});")
-    return "\n".join(out) + "\n"
-
-
-def _print_stmts(stmts: list[Stmt], out: list[str], indent: str) -> None:
-    for s in stmts:
-        if isinstance(s, AssignStmt):
-            out.append(f"{indent}{s.target} = {s.expr};")
-        elif isinstance(s, LocalDeclStmt):
-            init = f" = {s.expr}" if s.expr is not None else ""
-            out.append(f"{indent}local {s.name}{init};")
-        elif isinstance(s, FenceStmt):
-            out.append(f"{indent}fence;")
-        elif isinstance(s, MembarStmt):
-            kinds = " ".join(f"#{k}" for k in s.kinds)
-            out.append(f"{indent}membar {kinds};")
-        elif isinstance(s, AssertStmt):
-            out.append(f"{indent}assert ({s.cond});")
-        elif isinstance(s, IfStmt):
-            out.append(f"{indent}if ({s.cond}) {{")
-            _print_stmts(s.then, out, indent + "  ")
-            if s.els:
-                out.append(f"{indent}}} else {{")
-                _print_stmts(s.els, out, indent + "  ")
-            out.append(f"{indent}}}")
-        elif isinstance(s, WhileStmt):
-            out.append(f"{indent}while ({s.cond}) {{")
-            _print_stmts(s.body, out, indent + "  ")
-            out.append(f"{indent}}}")
-        elif isinstance(s, CallStmt):
-            out.append(f"{indent}{s.kind}({s.target});")
-        else:
-            raise TypeError(s)
-
-
-# ---------------------------------------------------------------------------
-# Lowering
-# ---------------------------------------------------------------------------
-
-class _GraphBuilder:
-    def __init__(self, thread: str, ids):
-        self.thread = thread
-        self.ids = ids
-        self.nodes: dict[int, ir.Instruction] = {}
-        self.edges: set[tuple[int, int]] = set()
-        self.entry = self.add(Nop())
-        self.tails = [self.entry]
-
-    def add(self, instr: ir.Instruction) -> int:
-        n = self.ids()
-        self.nodes[n] = instr
-        return n
-
-    def append(self, instr: ir.Instruction) -> int:
-        n = self.add(instr)
-        for t in self.tails:
-            self.edges.add((t, n))
-        self.tails = [n]
-        return n
-
-    def finish(self) -> ir.FlowGraph:
-        exit_node = self.append(Nop())
-        return ir.FlowGraph(self.thread, self.nodes, self.entry, exit_node,
-                            self.edges)
-
-
-class _Lowerer:
-    def __init__(self, ast: SourceProgram):
-        self.ast = ast
-        self.counter = 0
-        self.temp_counter = 0
-        self.global_vars = {name: VarId(name) for name, _ in ast.globals}
-
-    def _ids(self) -> int:
-        n = self.counter
-        self.counter += 1
-        return n
-
-    def _fresh(self, thread: str) -> VarId:
-        v = VarId(f"__t{self.temp_counter}", thread)
-        self.temp_counter += 1
-        return v
-
-    def lower(self) -> ir.Program:
-        graphs: dict[str, ir.FlowGraph] = {}
-        for t in self.ast.threads:
-            b = _GraphBuilder(t.name, self._ids)
-            for s in t.stmts:
-                self._stmt(b, s)
-            graphs[t.name] = b.finish()
-
-        epilogue = None
-        if self.ast.epilogue_asserts:
-            b = _GraphBuilder(ir.EPILOGUE_THREAD, self._ids)
-            for a in self.ast.epilogue_asserts:
-                self._stmt(b, a)
-            epilogue = b.finish()
-
-        root = _GraphBuilder(ir.ROOT_THREAD, self._ids)
-        init_stores: dict[VarId, int] = {}
-        for name, init in self.ast.globals:
-            init_stores[self.global_vars[name]] = root.append(
-                Store(self.global_vars[name], Const(init)))
-        created = {instr.child for g in graphs.values()
-                   for instr in g.nodes.values()
-                   if isinstance(instr, ThreadCreate)}
-        top_level = [t.name for t in self.ast.threads
-                     if t.name not in created]
-        for name in top_level:
-            root.append(ThreadCreate(name))
-        for name in top_level:
-            root.append(ThreadJoin(name))
-        if epilogue is not None:
-            root.append(ThreadCreate(ir.EPILOGUE_THREAD))
-            root.append(ThreadJoin(ir.EPILOGUE_THREAD))
-            graphs[ir.EPILOGUE_THREAD] = epilogue
-        graphs[ir.ROOT_THREAD] = root.finish()
-
-        program = ir.Program(
-            globals={self.global_vars[n]: v for n, v in self.ast.globals},
-            threads=graphs,
-            init_stores=init_stores,
-        )
-        return program
-
-    # -- statement lowering ------------------------------------------------
-    def _stmt(self, b: _GraphBuilder, s: Stmt) -> None:
-        if isinstance(s, AssignStmt):
-            expr = self._hoist_expr(b, s.expr)
-            if s.target in self.global_vars:
-                b.append(Store(self.global_vars[s.target], expr))
-            else:
-                b.append(LocalAssign(VarId(s.target, b.thread), expr))
-        elif isinstance(s, LocalDeclStmt):
-            if s.expr is not None:
-                expr = self._hoist_expr(b, s.expr)
-                b.append(LocalAssign(VarId(s.name, b.thread), expr))
-        elif isinstance(s, FenceStmt):
-            b.append(Fence())
-        elif isinstance(s, CallStmt):
-            call = {"create": ThreadCreate, "join": ThreadJoin}.get(s.kind)
-            b.append(Fence() if call is None else call(s.target))
-        elif isinstance(s, MembarStmt):
-            b.append(Membar(frozenset(s.kinds)))
-        elif isinstance(s, AssertStmt):
-            cond = self._hoist_cond(b, s.cond)
-            b.append(Assert(cond, f"{s.line}:{s.col}"))
-        elif isinstance(s, IfStmt):
-            self._if(b, s)
-        elif isinstance(s, WhileStmt):
-            self._while(b, s)
-        else:
-            raise TypeError(s)
-
-    def _if(self, b: _GraphBuilder, s: IfStmt) -> None:
-        cond = self._hoist_cond(b, s.cond)
-        branch_tails = b.tails
-
-        b.tails = branch_tails
-        b.append(Assume(cond))
-        for st in s.then:
-            self._stmt(b, st)
-        then_tails = b.tails
-
-        b.tails = branch_tails
-        b.append(Assume(negate(cond)))
-        for st in s.els:
-            self._stmt(b, st)
-        else_tails = b.tails
-
-        b.tails = then_tails + else_tails
-        b.append(Nop())  # merge point
-
-    def _while(self, b: _GraphBuilder, s: WhileStmt) -> None:
-        head = b.append(Nop())  # loop head: each iteration re-reads globals
-        cond = self._hoist_cond(b, s.cond)
-        cond_tails = b.tails
-
-        b.tails = cond_tails
-        b.append(Assume(cond))
-        for st in s.body:
-            self._stmt(b, st)
-        for t in b.tails:  # back edge
-            b.edges.add((t, head))
-
-        b.tails = cond_tails
-        b.append(Assume(negate(cond)))
-
-    # -- hoisting globals out of expressions/conditions --------------------
-    def _hoist_expr(self, b: _GraphBuilder, e: Expr) -> Expr:
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Var):
-            name = e.var.name
-            if name in self.global_vars:
-                tmp = self._fresh(b.thread)
-                b.append(Load(tmp, self.global_vars[name]))
-                return Var(tmp)
-            return Var(VarId(name, b.thread))
-        return BinOp(e.op, self._hoist_expr(b, e.left),
-                     self._hoist_expr(b, e.right))
-
-    def _hoist_cond(self, b: _GraphBuilder, c: Cond) -> Cond:
-        if isinstance(c, Cmp):
-            return Cmp(c.op, self._hoist_expr(b, c.left),
-                       self._hoist_expr(b, c.right))
-        if isinstance(c, Not):
-            return Not(self._hoist_cond(b, c.cond))
-        if isinstance(c, And):
-            return And(self._hoist_cond(b, c.left),
-                       self._hoist_cond(b, c.right))
-        if isinstance(c, Or):
-            return Or(self._hoist_cond(b, c.left),
-                      self._hoist_cond(b, c.right))
-        raise TypeError(c)
-
 
 def lower(ast: SourceProgram) -> ir.Program:
-    program = _Lowerer(ast).lower()
+    """The program of `ast`'s threads and a root thread numbered after
+    them; `ast` is left as it is."""
+    ids = count(1 + max(n for g in ast.threads.values() for n in g.nodes))
+    root = _GraphBuilder(ir.ROOT_THREAD, ids.__next__)
+    init_stores = {VarId(name): root.append(Store(VarId(name), Const(init)))
+                   for name, init in ast.globals}
+    created = {instr.child for g in ast.threads.values()
+               for instr in g.nodes.values()
+               if isinstance(instr, ThreadCreate)}
+    top_level = [name for name in ast.threads
+                 if name not in created and name != ir.EPILOGUE_THREAD]
+    for name in top_level:
+        root.append(ThreadCreate(name))
+    for name in top_level:
+        root.append(ThreadJoin(name))
+    if ir.EPILOGUE_THREAD in ast.threads:
+        root.append(ThreadCreate(ir.EPILOGUE_THREAD))
+        root.append(ThreadJoin(ir.EPILOGUE_THREAD))
+    program = ir.Program(
+        globals={VarId(name): init for name, init in ast.globals},
+        threads={**ast.threads, ir.ROOT_THREAD: root.finish()},
+        init_stores=init_stores,
+    )
     diags = ir.validate(program)
-    if diags:  # lowering must always produce well-formed programs
+    if diags:  # the front end must always produce well-formed programs
         raise AssertionError("lowering produced invalid program: "
                              + "; ".join(diags))
     return program

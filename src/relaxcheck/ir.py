@@ -55,16 +55,10 @@ class VarId(NamedTuple):
 class Const:
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class Var:
     var: VarId
-
-    def __str__(self) -> str:
-        return str(self.var)
 
 
 @dataclass(frozen=True)
@@ -72,9 +66,6 @@ class BinOp:
     op: str  # '+', '-', '*'
     left: Expr
     right: Expr
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
 
 
 Expr = Const | Var | BinOp
@@ -86,17 +77,11 @@ class Cmp:
     left: Expr
     right: Expr
 
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
 
 @dataclass(frozen=True)
 class And:
     left: Cond
     right: Cond
-
-    def __str__(self) -> str:
-        return f"({self.left} && {self.right})"
 
 
 @dataclass(frozen=True)
@@ -104,16 +89,10 @@ class Or:
     left: Cond
     right: Cond
 
-    def __str__(self) -> str:
-        return f"({self.left} || {self.right})"
-
 
 @dataclass(frozen=True)
 class Not:
     cond: Cond
-
-    def __str__(self) -> str:
-        return f"!({self.cond})"
 
 
 Cond = Cmp | And | Or | Not

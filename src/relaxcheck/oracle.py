@@ -29,6 +29,12 @@ from .ir import (
 )
 
 
+#: The default budgets: memory events per execution, and unrollings of
+#: each loop on a path.
+MAX_EVENTS = 12
+MAX_LOOP_ITERS = 3
+
+
 class OracleLimitError(Exception):
     """Loop bound or event budget exceeded on a realizable path."""
 
@@ -227,8 +233,9 @@ class _ThreadTrace:
 
 
 def enumerate_executions(program: Program, model: MemoryModel,
-                         max_events: int = 12,
-                         max_loop_iters: int = 3) -> set[Execution]:
+                         max_events: int = MAX_EVENTS,
+                         max_loop_iters: int = MAX_LOOP_ITERS
+                         ) -> set[Execution]:
     """All observable behaviors (final memory + assert outcomes)."""
     thread_names = [program.root] + [t for t in program.threads
                                      if t != program.root]
@@ -353,8 +360,8 @@ def _linearize(program: Program, traces: tuple[_ThreadTrace, ...]
 
 
 def violates(program: Program, model: MemoryModel,
-             max_events: int = 12,
-             max_loop_iters: int = 3) -> dict[int, bool]:
+             max_events: int = MAX_EVENTS,
+             max_loop_iters: int = MAX_LOOP_ITERS) -> dict[int, bool]:
     """Per assert node: does some execution falsify it?"""
     result: dict[int, bool] = {}
     for name in sorted(program.threads):

@@ -1,6 +1,10 @@
-"""Parser, printer round-trip, and lowering tests."""
+"""Front-end tests: parse errors and their positions, the flow graphs the
+parser emits for each thread, the root thread that `lower` adds, and a
+gate of token-level mutants of the corpus."""
 from __future__ import annotations
 
+import copy
+import random
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,7 @@ from relaxcheck.analysis import analyze_all
 from relaxcheck.feasibility import MemoryModel
 from relaxcheck.frontend import (
     MAX_NESTING, NestingError, ParseError, lower, parse, parse_and_lower,
-    print_program,
+    tokenize,
 )
 from relaxcheck.ir import (
     Assert, Assume, EPILOGUE_THREAD, Fence, Load, Membar, Store, validate,
@@ -45,7 +49,7 @@ def _instrs(graph):
 
 def test_parse_fig2_shape():
     ast = parse(FIG2)
-    assert [t.name for t in ast.threads] == ["t1", "t2"]
+    assert list(ast.threads) == ["t1", "t2"]
     assert ast.globals == [("x", 0), ("y", 0)]
     assert ast.model is None
 
@@ -180,12 +184,37 @@ def test_nesting_just_under_the_limit_is_analyzed():
     assert [v.status for v in verdicts] == ["PROVED"]
 
 
-def test_roundtrip_parse_print_parse_on_corpus():
+def _token_mutants(text: str, rng: random.Random, n: int):
+    """n mutants of text, each with one token, located by its line and
+    column, deleted, duplicated or replaced by a token of the same kind."""
+    line_starts = [0]
+    for line in text.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    tokens = [t for t in tokenize(text) if t.kind != "eof"]
+    same_kind: dict[str, list[str]] = {}
+    for t in tokens:
+        same_kind.setdefault(t.kind, []).append(t.text)
+    for _ in range(n):
+        tok = rng.choice(tokens)
+        start = line_starts[tok.line - 1] + tok.col - 1
+        assert text[start:start + len(tok.text)] == tok.text
+        new = rng.choice(["", f"{tok.text} {tok.text}",
+                          rng.choice(same_kind[tok.kind])])
+        yield text[:start] + new + text[start + len(tok.text):]
+
+
+def test_token_mutants_of_the_corpus_are_valid_programs_or_parse_errors():
+    parsed = 0
     for name in CORPUS_FILES:
-        ast1 = parse(corpus_text(name))
-        printed = print_program(ast1)
-        ast2 = parse(printed)
-        assert print_program(ast2) == printed, name
+        rng = random.Random(name)
+        for mutant in _token_mutants(corpus_text(name), rng, 50):
+            try:
+                program, _ = parse_and_lower(mutant)
+            except ParseError:
+                continue
+            assert validate(program) == [], (name, mutant)
+            parsed += 1
+    assert parsed > 0  # the gate reaches lowering, not only the parser
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +225,15 @@ def test_lowered_corpus_programs_validate():
     for name in CORPUS_FILES:
         program, _ = parse_and_lower(corpus_text(name))
         assert validate(program) == [], name
+
+
+def test_lower_leaves_its_input_as_it_was():
+    # the program shares the parsed thread graphs with the parse
+    ast = parse(FIG2 + "assert(x >= 0);\n")
+    before = copy.deepcopy(ast.threads)
+    assert lower(ast) == lower(ast)
+    assert list(ast.threads) == ["t1", "t2", EPILOGUE_THREAD]
+    assert ast.threads == before
 
 
 def test_global_assignment_splits_into_load_and_store():
@@ -219,7 +257,7 @@ def test_fig2_thread2_lowering_shape():
     assert kinds.count("Assume") == 2
     assert kinds.count("Assert") == 1
     assumes = [i for i in _instrs(t2) if isinstance(i, Assume)]
-    assert len({str(a.cond) for a in assumes}) == 2  # complementary guards
+    assert len({a.cond for a in assumes}) == 2  # complementary guards
 
 
 def test_fence_lowers_to_single_fence_node():
