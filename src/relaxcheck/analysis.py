@@ -126,15 +126,21 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     `old.join(out)` (or, at a cycle node past 2 visits, `old.widen(out)`)
     called as methods.  The widening equals `old.widen(old.join(out))`
     pointwise (bottom and one-sided variables included), so a visit makes
-    one pointwise pass, and the lattice operations return `old` itself
-    when nothing changed, so `new is old` ends an unchanged visit without
-    a `leq`.  The graph's structure and the worklist's methods are bound to
-    locals once per call."""
+    one pointwise pass.  A visit reads its node's entry of `graph.plan`,
+    and only a load looks into `pinned` and `joined`.
+
+    A visit ends unchanged when `new is old`, and changes `post` without a
+    `leq` when `new` has as many keys as `old`: a node's input only grows
+    from visit to visit, and with it the keys of `out` (`transfer` is
+    monotone and only adds keys), so every key of `old` is a key of `out`
+    unless either is bottom; and `Interval.join` and `widen` return their
+    left operand exactly when the result equals it, so such a `new` holds
+    some interval strictly above `old`'s.  A `new` with more keys may
+    only add Top entries, and `leq` decides."""
     joined = joined or {}
-    nodes, entry, cycles = graph.nodes, graph.entry, graph.loop_nodes
-    succ, pred = graph.adjacency
-    post = dict.fromkeys(nodes, AbstractEnv.bottom())
-    visits = dict.fromkeys(nodes, 0)
+    entry, plan = graph.entry, graph.plan
+    post = dict.fromkeys(plan, AbstractEnv.bottom())
+    visits = dict.fromkeys(plan, 0)
     worklist = deque([entry])
     in_list = {entry}
     pop, push = worklist.popleft, worklist.append
@@ -142,30 +148,30 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     while worklist:
         n = pop()
         leave(n)
-        instr = nodes[n]
+        instr, preds, succs, widens, src = plan[n]
         if n == entry:
             inp = init_env
         else:
-            preds = pred[n]
             inp = post[preds[0]]
             for p in preds[1:]:
                 inp = inp.join(post[p])
-        if (n in pinned or n in joined) and not inp.is_bottom:
+        if src is not None and not inp.is_bottom:
             if n in pinned:
-                inp = inp.set(instr.src, pinned[n])
+                inp = inp.set(src, pinned[n])
             if n in joined:
-                inp = inp.set(instr.src, inp.get(instr.src).join(joined[n]))
+                inp = inp.set(src, inp.get(src).join(joined[n]))
         out = transfer(instr, inp)
         visits[n] = count = visits[n] + 1
         old = post[n]
-        if count > 2 and n in cycles:
+        if widens and count > 2:
             new = old.widen(out)
         else:
             new = old.join(out)
         # new is old joined (or widened) with out, so old <= new
-        if new is not old and not new.leq(old):
+        if new is not old and (len(new._map) == len(old._map)
+                               or not new.leq(old)):
             post[n] = new
-            for s in succ.get(n, ()):
+            for s in succs:
                 if s not in in_list:
                     enter(s)
                     push(s)

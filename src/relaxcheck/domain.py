@@ -248,6 +248,8 @@ class AbstractEnv:
     # own join, widening and bound.  `op` returns its first operand when the
     # result equals it, so the map is copied only at the first variable that
     # changes, and `self` comes back when none does and no key is added.
+    # The walk counts the keys of `a` missing from `b`: `b` holds a key
+    # outside `a`, to add as Top, exactly when len(b) > len(a) - missing.
 
     def _pointwise(self, other: "AbstractEnv", op) -> "AbstractEnv":
         if self is other or other.is_bottom:
@@ -255,17 +257,21 @@ class AbstractEnv:
         if self.is_bottom:
             return other
         a, b = self._map, other._map
-        m = None
+        m, missing = None, 0
         for v, x in a.items():
             y = b.get(v)
             if y is x:
                 continue
-            z = _TOP if y is None else op(x, y)
+            if y is None:
+                missing += 1
+                z = _TOP
+            else:
+                z = op(x, y)
             if z is not x:
                 if m is None:
                     m = dict(a)
                 m[v] = z
-        if not b.keys() <= a.keys():
+        if len(b) > len(a) - missing:
             if m is None:
                 m = dict(a)
             for v in b:

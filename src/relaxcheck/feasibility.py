@@ -77,23 +77,27 @@ def compute_no_reorder(model: MemoryModel,
     barriers = sum(1 << n for n in [*store.thread_creates,
                                     *store.thread_joins])
     strong = store.fences | barriers | store.ends
+    # what the model keeps before a load and before a store: a fixed mask,
+    # and the per-variable masks of the access's own variable.  TSO relaxes
+    # store->load only (same variable too: the buffer forwards), PSO also
+    # store->store on two variables, and RMO keeps only same-variable
+    # pairs, except store->load
+    keep_before = {MemoryModel.SC: ((accesses, ()), (accesses, ())),
+                   MemoryModel.TSO: ((loads, ()), (accesses, ())),
+                   MemoryModel.PSO: ((loads, ()), (loads, (stores_of,))),
+                   MemoryModel.RMO: ((0, (loads_of,)),
+                                     (0, (loads_of, stores_of)))}[model]
     kept = [0] * (max(store.thread_of) + 1)
     for b in bits(accesses | strong):
         if strong >> b & 1:
             kept[b] = accesses | strong
             continue
         kind = "L" if loads >> b & 1 else "S"
-        var = store.load_var[b] if kind == "L" else store.store_var[b]
-        own_loads, own_stores = loads_of.get(var, 0), stores_of.get(var, 0)
-        # what the model keeps before a load b and before a store b: TSO
-        # relaxes store->load only (same variable too: the buffer
-        # forwards), PSO also store->store on two variables, and RMO keeps
-        # only same-variable pairs, except store->load
-        keep = {MemoryModel.SC: (accesses, accesses),
-                MemoryModel.TSO: (loads, accesses),
-                MemoryModel.PSO: (loads, loads | own_stores),
-                MemoryModel.RMO: (own_loads, own_loads | own_stores),
-                }[model][kind == "S"]
+        keep, own_masks = keep_before[kind == "S"]
+        if own_masks:
+            var = store.load_var[b] if kind == "L" else store.store_var[b]
+            for masks in own_masks:
+                keep |= masks.get(var, 0)
         for first in "LS":
             for m in bits(store.dominators[b]
                           & store.membars[first + kind]):

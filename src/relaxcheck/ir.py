@@ -5,12 +5,13 @@ thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
 A flow graph builds its adjacency lists, reachability closure, strict
-dominators and loop nodes once.  Every per-node node set of the package,
-and every node set of the static relations (`relations.py`), is an int
-mask indexed by node id: bit n stands for node n, `bits` lists the nodes
-of a mask, and `closure` is the package's one transitive closure over
-such masks, for reachability and MHB alike.  `MemoryModel` names the
-memory models for the front end, the analyzer and the oracle.
+dominators, loop nodes and the interval fixpoint's per-node visit plan
+once.  Every per-node node set of the package, and every node set of the
+static relations (`relations.py`), is an int mask indexed by node id: bit
+n stands for node n, `bits` lists the nodes of a mask, and `closure` is
+the package's one transitive closure over such masks, for reachability
+and MHB alike.  `MemoryModel` names the memory models for the front end,
+the analyzer and the oracle.
 """
 from __future__ import annotations
 
@@ -212,9 +213,9 @@ Instruction = (
 
 @dataclass
 class FlowGraph:
-    """One thread's flow graph.  Adjacency, reachability, dominators and
-    loop nodes are built on first use and never rebuilt, so nodes and edges
-    are fixed from then on."""
+    """One thread's flow graph.  Adjacency, reachability, dominators, loop
+    nodes and the visit plan are built on first use and never rebuilt, so
+    nodes and edges are fixed from then on."""
     thread: str
     nodes: dict[int, Instruction]
     entry: int
@@ -269,6 +270,17 @@ class FlowGraph:
     def loop_nodes(self) -> frozenset[int]:
         """Nodes lying on some cycle (self-reachable through >=1 edge)."""
         return frozenset(n for n, r in self.reachable.items() if r >> n & 1)
+
+    @cached_property
+    def plan(self) -> dict[int, tuple]:
+        """What a fixpoint visit reads of each node: its instruction, its
+        predecessors and successors (the `adjacency` tuples), whether it
+        widens (it is a loop node), and a load's source variable (None for
+        any other instruction)."""
+        succ, pred = self.adjacency
+        return {n: (i, pred.get(n, ()), succ.get(n, ()), n in self.loop_nodes,
+                    i.src if isinstance(i, Load) else None)
+                for n, i in self.nodes.items()}
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -1,7 +1,9 @@
 """Analysis driver: sequential degeneracy, enumeration, fixpoint shape,
-memoized thread runs, fixpoint exactness against the reference loop."""
+memoized thread runs, the flow graphs' visit plans, fixpoint exactness
+against the reference loop."""
 from __future__ import annotations
 
+import copy
 from collections import Counter, deque
 
 import pytest
@@ -14,12 +16,14 @@ from relaxcheck.analysis import (
 )
 from relaxcheck.domain import POS_INF, AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
-from relaxcheck.frontend import parse_and_lower
+from relaxcheck.frontend import lower, parse, parse_and_lower
 from relaxcheck.ir import Load, Store, VarId
 from relaxcheck.oracle import violates
 from relaxcheck.relations import extract_all
 
-from conftest import CORPUS_FILES, MODELS, analyzer_result, corpus_program
+from conftest import (
+    CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
+)
 
 SC, TSO = MemoryModel.SC, MemoryModel.TSO
 
@@ -430,6 +434,36 @@ def _nest_text(depth: int) -> str:
     return "\n".join(lines)
 
 
+def _plan_texts():
+    yield from (corpus_text(name) for name in CORPUS_FILES)
+    yield from (_nest_text(depth) for depth in range(2, 15))
+
+
+def test_visit_plan_matches_the_graph():
+    """Each plan entry is the node's instruction, its predecessors and
+    successors in `adjacency` order, whether it is a loop node and a load's
+    source; the plan is built once, and the graphs still compare (and
+    deep-copy) by their fields alone."""
+    for text in _plan_texts():
+        ast = parse(text)
+        program = lower(ast)
+        for graph in program.threads.values():
+            plan = graph.plan
+            assert list(plan) == list(graph.nodes)
+            for n, (instr, preds, succs, widens, src) in plan.items():
+                assert instr is graph.nodes[n]
+                assert preds == graph.predecessors(n) == tuple(
+                    sorted(a for a, b in graph.edges if b == n))
+                assert succs == graph.successors(n) == tuple(
+                    sorted(b for a, b in graph.edges if a == n))
+                assert widens == (n in graph.loop_nodes)
+                assert src == (instr.src if isinstance(instr, Load)
+                               else None)
+            assert graph.plan is plan
+        assert program == lower(ast)
+        assert copy.deepcopy(program) == program
+
+
 def _assert_fixpoints_exact(prog, model, monkeypatch, label):
     """Every thread of `prog`, run alone and with the bootstrap's joined
     values, gives node-for-node the reference's env maps with as many
@@ -477,7 +511,7 @@ def test_fixpoint_equals_reference_on_corpus(monkeypatch):
 
 
 def test_fixpoint_equals_reference_on_nests(monkeypatch):
-    for depth in range(2, 11):
+    for depth in range(2, 15):
         prog, _ = parse_and_lower(_nest_text(depth))
         calls = _assert_fixpoints_exact(prog, TSO, monkeypatch,
                                         f"nest-{depth}")

@@ -1,6 +1,7 @@
 """Front-end tests: parse errors and their positions, the flow graphs the
 parser emits for each thread, the root thread that `lower` adds, and a
-gate of token-level mutants of the corpus."""
+gate of token-level mutants of the corpus and of retargeted thread
+calls."""
 from __future__ import annotations
 
 import copy
@@ -184,12 +185,18 @@ def test_nesting_just_under_the_limit_is_analyzed():
     assert [v.status for v in verdicts] == ["PROVED"]
 
 
+def _line_starts(text: str) -> list[int]:
+    """The offset in text of each line's first character, line 1 first."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    return starts
+
+
 def _token_mutants(text: str, rng: random.Random, n: int):
     """n mutants of text, each with one token, located by its line and
     column, deleted, duplicated or replaced by a token of the same kind."""
-    line_starts = [0]
-    for line in text.split("\n"):
-        line_starts.append(line_starts[-1] + len(line) + 1)
+    line_starts = _line_starts(text)
     tokens = [t for t in tokenize(text) if t.kind != "eof"]
     same_kind: dict[str, list[str]] = {}
     for t in tokens:
@@ -215,6 +222,69 @@ def test_token_mutants_of_the_corpus_are_valid_programs_or_parse_errors():
             assert validate(program) == [], (name, mutant)
             parsed += 1
     assert parsed > 0  # the gate reaches lowering, not only the parser
+
+
+#: non-root threads that create and join, so that a retargeted create can
+#: name a thread created elsewhere or close a creation cycle
+_NESTED_CALLS = """
+global x = 0, y = 0;
+
+thread main {
+  create(p);
+  create(q);
+  join(p);
+  join(q);
+}
+
+thread p {
+  x = 1;
+  create(c);
+  join(c);
+}
+
+thread q {
+  local a = x;
+}
+
+thread c {
+  y = 2;
+}
+"""
+
+
+def _call_retargets(text: str):
+    """Mutants of text with one create or join site retargeted: to every
+    other declared thread (its own thread included) and to an undeclared
+    name."""
+    line_starts = _line_starts(text)
+    tokens = tokenize(text)
+    threads = [tokens[i + 1].text for i, t in enumerate(tokens)
+               if (t.kind, t.text) == ("kw", "thread")]
+    for i, tok in enumerate(tokens):
+        if (tok.kind, tok.text) == ("kw", "thread"):
+            own = tokens[i + 1].text
+        elif tok.kind == "kw" and tok.text in ("create", "join"):
+            target = tokens[i + 2]
+            start = line_starts[target.line - 1] + target.col - 1
+            for new in dict.fromkeys([*threads, own, "ghost"]):
+                if new != target.text:
+                    yield (text[:start] + new
+                           + text[start + len(target.text):])
+
+
+@pytest.mark.parametrize("source", ["create_join.lit", "nested calls"])
+def test_retargeted_thread_calls_are_valid_programs_or_parse_errors(source):
+    text = _NESTED_CALLS if source == "nested calls" else corpus_text(source)
+    parsed = rejected = 0
+    for mutant in _call_retargets(text):
+        try:
+            program, _ = parse_and_lower(mutant)
+        except ParseError:
+            rejected += 1
+            continue
+        assert validate(program) == [], mutant
+        parsed += 1
+    assert parsed > 0 and rejected > 0
 
 
 # ---------------------------------------------------------------------------

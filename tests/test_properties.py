@@ -2,7 +2,8 @@
 
 Covers: interval lattice laws, env operations against a per-variable
 reference, identity-preserving lattice operations (operand results, the
-single widen pass, operands left unchanged), VarId hashing, transfer
+single widen pass, the left operand returned exactly when it is above the
+right one, operands left unchanged), VarId hashing, transfer
 monotonicity and soundness on singletons, per-model relation inclusion
 chains, fact monotonicity of the feasibility engine and of the rules'
 specification, the bitset feasibility engine and its depth-first
@@ -304,12 +305,13 @@ def _ref_env(op, e1: AbstractEnv, e2: AbstractEnv):
 @st.composite
 def env_pairs(draw) -> tuple[AbstractEnv, AbstractEnv]:
     """Two sparse envs: unrelated half the time, else the same object, a
-    copy, the first with one variable set, or the first joined with another
-    env."""
+    copy, the first with one variable set, the first joined with another
+    env, or the first with one key swapped for another (as many keys, a
+    different key set)."""
     e1, e2 = draw(sparse_environments()), draw(sparse_environments())
     if draw(st.booleans()):
         return e1, e2
-    kind = draw(st.sampled_from(["same", "copy", "set", "around"]))
+    kind = draw(st.sampled_from(["same", "copy", "set", "around", "swap"]))
     if kind == "same":
         e2 = e1
     elif kind == "copy":
@@ -318,6 +320,14 @@ def env_pairs(draw) -> tuple[AbstractEnv, AbstractEnv]:
         e2 = e1.set(draw(st.sampled_from(VARS)), draw(intervals()))
     elif kind == "around":
         e2 = e1.join(e2)
+    elif kind == "swap" and not e1.is_bottom:
+        # the other keys keep their interval objects
+        absent = [v for v in VARS if v not in e1._map]
+        if e1._map and absent:
+            m = dict(e1._map)
+            del m[draw(st.sampled_from(e1.variables()))]
+            m[draw(st.sampled_from(absent))] = draw(intervals())
+            e2 = AbstractEnv(m)
     return (e2, e1) if draw(st.booleans()) else (e1, e2)
 
 
@@ -340,6 +350,8 @@ def test_interval_operations_return_operands_equal_to_reference(pair):
 
 @MANY
 @given(env_pairs())
+@example((AbstractEnv({X: Interval.const(1), A: Interval.const(2)}),
+          AbstractEnv({X: Interval.const(1), B: Interval.const(3)})))
 def test_env_operations_equal_pointwise_reference(pair):
     e1, e2 = pair
     assert _reads(e1.join(e2)) == _pointwise(Interval.join, e1, e2)
@@ -362,6 +374,45 @@ def test_env_operations_equal_pointwise_reference(pair):
     # the identity that lets analyze_thread widen in one pointwise pass,
     # bottom and variables mapped on one side only included
     assert _plain(e1.widen(e2)) == _plain(e1.widen(e1.join(e2)))
+
+
+@st.composite
+def nested_key_pairs(draw) -> tuple[AbstractEnv, AbstractEnv]:
+    """Two non-bottom envs whose key sets nest, keys(e1) <= keys(e2) (more
+    often than not the same set), each shared key holding a pair of related
+    intervals as `interval_pairs` draws them."""
+    keys = draw(st.lists(st.sampled_from(VARS), unique=True))
+    m1, m2 = {}, {}
+    for v in keys:
+        m1[v], m2[v] = draw(interval_pairs())
+    if draw(st.booleans()):
+        for v in VARS:
+            if v not in m2 and draw(st.booleans()):
+                m2[v] = draw(intervals())
+    return AbstractEnv(m1), AbstractEnv(m2)
+
+
+@MANY
+@given(nested_key_pairs())
+def test_join_and_widen_return_the_left_env_exactly_when_above(pair):
+    """The premise that lets `analyze_thread` skip `leq`: with the same
+    keys, `e1.join(e2)` and `e1.widen(e2)` are `e1` itself exactly when
+    `e2.leq(e1)`, so a result that is not `e1` and has as many keys is not
+    below `e1`.  With more keys in `e2` the result has them all, and its
+    entries beyond `e1`'s keys are Top."""
+    e1, e2 = pair
+    same_keys = e1._map.keys() == e2._map.keys()
+    for op in (AbstractEnv.join, AbstractEnv.widen):
+        r = op(e1, e2)
+        assert r._map.keys() == e2._map.keys()
+        if same_keys:
+            assert (r is e1) == e2.leq(e1) == r.leq(e1), (op, e1, e2)
+        else:
+            assert r is not e1 and len(r._map) > len(e1._map)
+            assert all(r.get(v).is_top() for v in r._map
+                       if v not in e1._map)
+        if r is not e1 and len(r._map) == len(e1._map):
+            assert not r.leq(e1), (op, e1, e2)
 
 
 @MANY
