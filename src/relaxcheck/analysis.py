@@ -26,10 +26,10 @@ below it; the feasible combinations come out in `itertools.product` order.
 Each feasible combination is re-analyzed with combination-conditional
 environments — every load takes exactly its chosen store's value, iterated
 across threads starting from the bootstrap result — and assertions are
-judged on the environments of the feasible combinations only.  Each thread
-result is taken as it arrives: it is joined into the env map and its
-thread's asserts are judged on it, so an ALARM's witness is the first
-combination with a result that fails it.
+judged on the environments of the feasible combinations only.  Each
+distinct thread result is taken once, as it arrives: it is joined into the
+env map and its thread's asserts are judged on it, so an ALARM's witness is
+the first combination with a result that fails it.
 
 Combinations are enumerated per interference component, not as one global
 product (`interference_components`): threads share a component when a load
@@ -387,10 +387,17 @@ def analyze_all(program: Program, model: MemoryModel,
     env_map: dict[int, AbstractEnv] = {n: AbstractEnv.bottom()
                                        for n in boot_map}
     alarms: dict[int, tuple] = {}   # assert node -> witness of its ALARM
+    # the results taken, by (thread, id); holding each result keeps its id
+    # unique even where `runs` would not
+    taken: dict[tuple[str, int], dict[int, AbstractEnv]] = {}
 
     def take(graph: FlowGraph, post: dict[int, AbstractEnv],
              witness: tuple) -> None:
-        """Join a thread's result into env_map and judge its asserts."""
+        """Join a thread's result into env_map and judge its asserts; a
+        result already taken for the thread adds nothing."""
+        if (graph.thread, id(post)) in taken:
+            return
+        taken[graph.thread, id(post)] = post
         for n, instr in graph.nodes.items():
             env_map[n] = env_map[n].join(post[n])
             if (isinstance(instr, Assert) and n not in alarms

@@ -21,7 +21,7 @@ from itertools import islice
 
 from . import analysis, oracle
 from .feasibility import FeasibilityContext
-from .frontend import ParseError, lower, parse
+from .frontend import ParseError, parse_and_lower
 from .ir import MemoryModel
 from .relations import extract_all
 
@@ -70,11 +70,10 @@ def run(argv: list[str]) -> int:
                   f"(byte {e.start})", file=sys.stderr)
             return 2
         try:
-            ast = parse(text)
+            program, file_model = parse_and_lower(text)
         except ParseError as e:
             print(f"{args.input}:{e}", file=sys.stderr)
             return 2
-        program = lower(ast)
         if args.max_combinations < 1:
             print("error: --max-combinations must be positive",
                   file=sys.stderr)
@@ -86,7 +85,7 @@ def run(argv: list[str]) -> int:
                 print(f"error: {flag} must be non-negative", file=sys.stderr)
                 return 2
 
-        model = MemoryModel(args.model or ast.model or "sc")
+        model = MemoryModel(args.model or file_model or "sc")
         if args.emit_relations:
             _report(lambda: _print_lines(_relation_dump(program, model)))
             return 0

@@ -9,7 +9,7 @@ are a stream of facts `(relation, *args)`, as
 name, so the stream's MHB facts (the engine's answer) are not read.  The
 analyzer does not run this module: `feasibility.py` evaluates the same
 rules with a bitset closure, and the tests check that closure against
-`spec_mhb` and `spec_must_not_read_from`.
+`solve`.
 """
 from __future__ import annotations
 
@@ -68,14 +68,3 @@ def solve(facts: Iterable[tuple], reads_from: Pairs) -> tuple[Pairs, Pairs]:
              for s2 in after.get(l1, ()) if store_var.get(s2) == v
              for l2 in after.get(s2, ()) if load_var.get(l2) == v}
     return {(a, b) for a, bs in after.items() for b in bs}, mnrf
-
-
-def spec_mhb(facts: Iterable[tuple], reads_from: Pairs) -> Pairs:
-    """MHB: the least fixpoint of rules (1)-(4) over the given facts."""
-    return solve(facts, reads_from)[0]
-
-
-def spec_must_not_read_from(facts: Iterable[tuple], reads_from: Pairs
-                            ) -> Pairs:
-    """MustNotReadFrom: the least fixpoint of rules (1)-(6)."""
-    return solve(facts, reads_from)[1]

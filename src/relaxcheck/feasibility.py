@@ -24,22 +24,24 @@ Warshall step: a, and every row that has bit a, gains T and the rows of T.
 The rows under no reads-from facts (rules (1)-(3)) are built once per
 context, as the closure of their edges (`deduce_mhb`, with `ir.closure`).
 `add_facts` closes rows under more facts: it adds each new fact's
-store -> load edge and applies rule (4) until nothing changes.  Both ways
-of asking use it and `must_not_read_from` (rules (5) and (6)):
+store -> load edge and applies rule (4) until nothing changes.  One step
+decides the rules for one more fact: it closes the rows of a feasible
+prefix under the new fact with `add_facts`, and re-checks rules (5) and (6)
+(`must_not_read_from`) for the facts the new one can affect.  The rules are
+monotone in the facts, so a refuted prefix refutes every set that extends
+it.  Both ways of asking take that step:
 
-- `check_facts` decides one fact set from the base rows, and keeps each
-  answer in `_cache`, the context's one memo.  The analyzer asks it only
-  single-fact sets, one per (load, candidate) in every bootstrap round, so
-  the memo answers every round after the first.
-- `extend` is one step of a depth-first enumeration: it adds a single fact
-  to the rows of a feasible prefix and re-checks rules (5) and (6) for the
-  facts the new one can affect.  The rules are monotone in the facts, so a
-  refuted prefix refutes every set that extends it.
+- `extend` is one level of a depth-first enumeration: the step for one
+  load's choice of source.
+- `check_facts` decides one fact set: it steps from the base rows through
+  the sorted facts and stops at the first refusal.  It keeps each answer in
+  `_cache`, the context's one memo.  The analyzer asks it only single-fact
+  sets, one per (load, candidate) in every bootstrap round, so the memo
+  answers every round after the first.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from .ir import MemoryModel, bits, closure
 from .relations import RelationStore
@@ -52,15 +54,6 @@ Prefix = tuple[list[int], tuple[Fact, ...]]
 
 class ContractViolation(Exception):
     """Malformed interference combination (distinct from Infeasible)."""
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: tuple[int, int] | None = None  # refuted (load, store) pair
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 def compute_no_reorder(model: MemoryModel,
@@ -153,7 +146,7 @@ class FeasibilityContext:
         self.kept = compute_no_reorder(model, store)
         # MHB under no reads-from assumptions; every query starts from it
         self._base_rows = deduce_mhb(store, self.kept)
-        self._cache: dict[frozenset, FeasibilityResult] = {}
+        self._cache: dict[frozenset[Fact], bool] = {}
 
     def relation_facts(self) -> Iterator[tuple]:
         """Every relation as Datalog facts `(relation, *args)`, decoded
@@ -248,13 +241,9 @@ class FeasibilityContext:
             if not every:
                 every, pending = True, flows([*facts, *new])
 
-    def mhb_rows(self, facts: Iterable[Fact]) -> list[int]:
-        """The base MHB rows closed under the reads-from facts."""
-        return self.add_facts(self._base_rows, (), tuple(facts))
-
     def must_not_read_from(self, rows: Sequence[int], facts: Iterable[Fact],
                            load: int, source: int) -> bool:
-        """Rules (5) and (6) for one pair, on the rows `mhb_rows(facts)`."""
+        """Rules (5) and (6) for one pair, on rows closed under `facts`."""
         store = self.store
         var = store.load_var.get(load)
         if var is None or store.store_var.get(source) != var:
@@ -272,17 +261,17 @@ class FeasibilityContext:
                         return True
         return False
 
-    def check_facts(self, facts: frozenset[Fact]) -> FeasibilityResult:
-        if facts in self._cache:
-            return self._cache[facts]
-        rows = self.mhb_rows(facts)
-        result = FeasibilityResult(True)
-        for pair in sorted(facts):
-            if self.must_not_read_from(rows, facts, *pair):
-                result = FeasibilityResult(False, witness=pair)
-                break
-        self._cache[facts] = result
-        return result
+    def check_facts(self, facts: frozenset[Fact]) -> bool:
+        """Whether the rules refute none of the reads-from facts: one step
+        per fact, in sorted order, from the base rows."""
+        if facts not in self._cache:
+            prefix: Prefix | None = self.root()
+            for fact in sorted(facts):
+                prefix = self._step(prefix, fact)
+                if prefix is None:
+                    break
+            self._cache[facts] = prefix is not None
+        return self._cache[facts]
 
     def root(self) -> Prefix:
         """The prefix of a depth-first enumeration that chose nothing."""
@@ -290,10 +279,16 @@ class FeasibilityContext:
 
     def extend(self, prefix: Prefix, load: int, source: int | None
                ) -> Prefix | None:
-        """One step of a depth-first enumeration: the feasible `prefix`
+        """One level of a depth-first enumeration: the feasible `prefix`
         (rows closed under its facts, as `root` and `extend` return them)
         plus the fact of `load` reading `source`, or None when the rules
-        refute the larger fact set, and so every set that contains it.
+        refute the larger fact set, and so every set that contains it."""
+        fact = self.fact(load, source)
+        return prefix if fact is None else self._step(prefix, fact)
+
+    def _step(self, prefix: Prefix, fact: Fact) -> Prefix | None:
+        """The feasible `prefix` plus `fact`, or None when the rules refute
+        the larger fact set.
 
         With the rows grown, every fact is checked again.  With the rows
         unchanged, only the new fact can be refuted: an earlier fact (l2, s)
@@ -302,9 +297,6 @@ class FeasibilityContext:
         and rule (4) gave l2 -> s2: rule (6) through (l2, s) itself had
         refuted it before."""
         rows, facts = prefix
-        fact = self.fact(load, source)
-        if fact is None:
-            return prefix
         grown = (*facts, fact)
         new_rows = self.add_facts(rows, facts, (fact,))
         suspects = (fact,) if new_rows == rows else grown

@@ -1,8 +1,9 @@
 """Shared fixtures: corpus discovery, cached analyzer/oracle results, two
 generated program families, the per-component combination product, a
 relation's facts and MHB rows as pair sets (one flow graph's Dominates and
-NotReachableFrom among them), reads-from facts of a choice of sources and
-their one-shot feasibility, and a program's copy with gaps in its node ids.
+NotReachableFrom among them), reads-from facts of a choice of sources, the
+MHB rows they close and their one-shot feasibility, and a program's copy
+with gaps in its node ids.
 
 Analyzer and oracle runs are memoized per (program, model) so the property
 suites and the acceptance gate can sample them repeatedly without re-paying
@@ -18,7 +19,7 @@ import pytest
 
 from relaxcheck import MemoryModel, analyze_all, parse_and_lower
 from relaxcheck.analysis import collect_candidates, interference_components
-from relaxcheck.feasibility import Fact, FeasibilityContext, FeasibilityResult
+from relaxcheck.feasibility import Fact, FeasibilityContext
 from relaxcheck.ir import FlowGraph, Nop, Program, bits
 from relaxcheck.oracle import enumerate_executions, violates
 from relaxcheck.relations import extract_all
@@ -96,8 +97,13 @@ def facts_for(ctx: FeasibilityContext, sources: dict[int, int | None]
                      if (f := ctx.fact(load, source)) is not None)
 
 
+def mhb_rows(ctx: FeasibilityContext, facts) -> list[int]:
+    """The base MHB rows closed under the reads-from facts, all at once."""
+    return ctx.add_facts(ctx.root()[0], (), tuple(facts))
+
+
 def check_feasible(program: Program, model: MemoryModel,
-                   sources: dict[int, int | None]) -> FeasibilityResult:
+                   sources: dict[int, int | None]) -> bool:
     """One-shot feasibility of a choice of source per load (see
     `facts_for`)."""
     ctx = FeasibilityContext(extract_all(program), model)

@@ -34,18 +34,11 @@ class Interval:
         return _BOTTOM
 
     @classmethod
-    def top(cls) -> "Interval":
-        return _TOP
-
-    @classmethod
     def const(cls, v: int) -> "Interval":
         return cls(v, v)
 
     def is_top(self) -> bool:
         return not self.is_bottom and self.lo == NEG_INF and self.hi == POS_INF
-
-    def contains(self, v: int) -> bool:
-        return not self.is_bottom and self.lo <= v <= self.hi
 
     def join(self, other: "Interval") -> "Interval":
         if self is other or other.is_bottom:

@@ -12,9 +12,7 @@ from __future__ import annotations
 import pytest
 
 from relaxcheck import analysis
-from relaxcheck.feasibility import (
-    FeasibilityContext, FeasibilityResult, MemoryModel,
-)
+from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 
 from conftest import CORPUS_FILES, MODELS, corpus_program, oracle_flags
 
@@ -24,7 +22,7 @@ class _NoPruning(FeasibilityContext):
     fact at a time by the enumeration."""
 
     def check_facts(self, facts):
-        return FeasibilityResult(True)
+        return True
 
     def extend(self, prefix, load, source):
         return prefix

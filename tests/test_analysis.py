@@ -17,12 +17,13 @@ from relaxcheck.analysis import (
 from relaxcheck.domain import POS_INF, AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import lower, parse, parse_and_lower
-from relaxcheck.ir import Load, Store, VarId
+from relaxcheck.ir import Assert, Load, Store, VarId
 from relaxcheck.oracle import violates
 from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
+    ring_text,
 )
 
 SC, TSO = MemoryModel.SC, MemoryModel.TSO
@@ -359,6 +360,39 @@ def test_thread_without_loads_runs_once(monkeypatch):
         assert runs["nest"] == 1, (model, runs)
         assert stats.outer_rounds > 1 and runs["obs"] > 1, (model, runs)
         assert [v.status for v in verdicts] == ["PROVED", "ALARM"]
+
+
+def test_each_distinct_thread_result_is_judged_once(monkeypatch):
+    # the ring's 1,024 combinations share far fewer thread results; an
+    # assert is judged at most once on each result of its thread
+    prog, _ = parse_and_lower(ring_text(5))
+    assert_of = {id(instr.cond): n for g in prog.threads.values()
+                 for n, instr in g.nodes.items() if isinstance(instr, Assert)}
+    thread_of = {n: name for name, g in prog.threads.items()
+                 for n in g.nodes}
+    results: dict[str, set] = {name: set() for name in prog.threads}
+    judged: Counter = Counter()
+    run, judge = ThreadRuns.run, analysis.may_be_false
+
+    def recording(self, graph, pinned, joined):
+        post = run(self, graph, pinned, joined)
+        results[graph.thread].add(id(post))
+        return post
+
+    def counting(cond, env):
+        judged[assert_of[id(cond)]] += 1
+        return judge(cond, env)
+
+    monkeypatch.setattr(ThreadRuns, "run", recording)
+    monkeypatch.setattr(analysis, "may_be_false", counting)
+    for model in MODELS:
+        for ids in results.values():
+            ids.clear()
+        judged.clear()
+        analyze_all(prog, model)
+        assert judged, model
+        for n, count in judged.items():
+            assert count <= len(results[thread_of[n]]), (model, n, count)
 
 
 # ---------------------------------------------------------------------------

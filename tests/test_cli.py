@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import relaxcheck
-from relaxcheck import analysis, cli, oracle
+from relaxcheck import analysis, cli, frontend, oracle
 from relaxcheck.cli import run
 from relaxcheck.feasibility import FeasibilityContext
 from relaxcheck.frontend import parse_and_lower
@@ -219,8 +219,8 @@ def _planted_failure(owner, name):
 
 
 @pytest.mark.parametrize("owner, name, flags", [
-    (cli, "parse", []),
-    (cli, "lower", []),
+    (frontend, "parse", []),
+    (frontend, "lower", []),
     (FeasibilityContext, "relation_facts", ["--emit-relations"]),
     (analysis, "analyze_all", []),
     (oracle, "violates", ["--oracle"]),

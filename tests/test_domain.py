@@ -118,7 +118,7 @@ HUGE = 10 ** 400  # past float range: Python cannot convert it to float
 
 
 def test_huge_bounds_meet_infinite_ones():
-    huge, top = iv(HUGE, HUGE), Interval.top()
+    huge, top = iv(HUGE, HUGE), Interval(NEG_INF, POS_INF)
     assert iv(1, POS_INF).add(huge) == iv(HUGE + 1, POS_INF)
     assert Interval(NEG_INF, 5).add(huge) == Interval(NEG_INF, HUGE + 5)
     assert top.add(huge) == top and huge.add(top) == top

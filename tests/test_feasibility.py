@@ -1,5 +1,6 @@
 """NoReorder tables, MHB/MustNotReadFrom deduction, combination checks,
-and the enumeration's one-fact step against whole-set checks."""
+and the enumeration's one-fact step, taken in every order, against the
+sorted-order checks and the rows closed under all facts at once."""
 from __future__ import annotations
 
 import pytest
@@ -14,8 +15,8 @@ from relaxcheck.ir import Load, Store, bits
 from relaxcheck.relations import extract_all
 
 from conftest import (
-    CORPUS_FILES, check_feasible, corpus_program, facts_for, relation,
-    with_gaps,
+    CORPUS_FILES, check_feasible, corpus_program, facts_for, mhb_rows,
+    relation, with_gaps,
 )
 
 SC, TSO, PSO, RMO = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
@@ -136,11 +137,9 @@ def test_fig2_rho4_infeasible_under_tso():
     prog, rho, l_x = _fig2_combinations()
     ctx = FeasibilityContext(extract_all(prog), TSO)
     facts = facts_for(ctx, rho[4])
-    res = ctx.check_facts(facts)
-    assert not res
-    # the flag read forces the data read to see the new value, so the
-    # init-store fact for l_x is among the refuted flows
-    assert res.witness in facts
+    assert not ctx.check_facts(facts)
+    # the flag read forces the data read to see the new value, so a set
+    # with the init-store fact for l_x is refuted
     init_x = prog.init_stores[next(v for v in prog.globals
                                    if v.name == "x")]
     assert (l_x, init_x) in facts
@@ -304,14 +303,6 @@ def test_base_mhb_closes_a_cycle_like_the_reference():
         assert not rows[main.entry] >> main.entry & 1
 
 
-def test_infeasible_witness_is_member_of_facts():
-    prog, rho, _ = _fig2_combinations()
-    ctx = FeasibilityContext(extract_all(prog), TSO)
-    facts = facts_for(ctx, rho[4])
-    res = ctx.check_facts(facts)
-    assert not res and res.witness in facts
-
-
 def test_fact_monotonicity_never_unprunes():
     # adding reads-from facts can only grow MustNotReadFrom
     prog, rho, _ = _fig2_combinations()
@@ -355,8 +346,9 @@ def _extend_in_every_order(ctx, candidates, prefix, done, tag) -> None:
     `done` in the order they were added, by each choice of each load not
     yet chosen and recurses on the extensions not refuted: every prefix of
     every order of every combination is stepped to once.  Each step must
-    refute exactly when check_facts refutes the facts so far, and otherwise
-    keep the rows equal to their closure from scratch."""
+    refute exactly when check_facts, which steps in sorted order, refutes
+    the facts so far, and otherwise keep the rows equal to their closure
+    under all the facts at once."""
     chosen = dict(done)
     for load in candidates:
         if load in chosen:
@@ -369,7 +361,7 @@ def _extend_in_every_order(ctx, candidates, prefix, done, tag) -> None:
                 (tag, order)
             if child is None:
                 continue
-            assert child[0] == ctx.mhb_rows(facts), (tag, order)
+            assert child[0] == mhb_rows(ctx, facts), (tag, order)
             assert frozenset(child[1]) == facts, (tag, order)
             _extend_in_every_order(ctx, candidates, child, order, tag)
 

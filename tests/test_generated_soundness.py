@@ -1,19 +1,26 @@
 """The soundness invariant on seeded generated programs: under every model,
 an assert the analyzer proves is one the oracle finds no violation of.
 
-Unlike `test_oracle_differential.generated_text`, these programs load
-globals inside loops, so a loop load's remote candidates decide asserts.
-A second test plants a known unsound fault, re-analysis that ignores the
-loop loads' remote candidates, and checks that the gate catches it."""
+Two generators feed the gate.  `gate_text` programs load globals inside
+loops, so a loop load's remote candidates decide asserts;
+`test_oracle_differential.generated_text` programs create and join threads
+(self-joins, join cycles, joins before creates, creates on one branch).  A
+planted fault, re-analysis that ignores the loop loads' remote candidates,
+must fail the gate.  On both generators, verdicts must also be monotone
+across the models and the same on a second run, as `test_properties`
+checks on the corpus."""
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
-from relaxcheck import analysis, analyze_all, parse_and_lower
+import pytest
+
+from relaxcheck import MemoryModel, analysis, analyze_all, parse_and_lower
 from relaxcheck.oracle import OracleLimitError, violates
 
 from conftest import MODELS
+from test_oracle_differential import GENERATED_SEEDS, generated_text
 
 GATE_SEEDS = range(200)
 
@@ -63,11 +70,12 @@ def gate_text(seed: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def unsound_cells(skipped: list) -> Iterator[tuple[int, str]]:
+def unsound_cells(skipped: list, text: Callable[[int], str] = gate_text,
+                  seeds: range = GATE_SEEDS) -> Iterator[tuple[int, str]]:
     """Every (seed, model) whose analysis proves an assert that the oracle
     finds violated; a cell past the oracle's budget goes to `skipped`."""
-    for seed in GATE_SEEDS:
-        program, _ = parse_and_lower(gate_text(seed))
+    for seed in seeds:
+        program, _ = parse_and_lower(text(seed))
         for model in MODELS:
             try:
                 flags = violates(program, model)
@@ -100,3 +108,43 @@ def test_gate_catches_loop_loads_that_ignore_remote_stores(monkeypatch):
 
     monkeypatch.setattr(analysis, "_run_combination", ignore_remote)
     assert next(unsound_cells([]), None) is not None
+
+
+def test_proved_implies_no_oracle_violation_on_creates_and_joins():
+    skipped: list = []
+    assert list(unsound_cells(skipped, generated_text, GENERATED_SEEDS)) \
+        == []
+    assert len(skipped) < len(GENERATED_SEEDS) * len(MODELS) // 2
+
+
+_FAMILIES = {"gate": (gate_text, GATE_SEEDS),
+             "creates-joins": (generated_text, GENERATED_SEEDS)}
+
+# weakest first: each model allows every behaviour of the next
+_WEAKEST_FIRST = (MemoryModel.RMO, MemoryModel.PSO, MemoryModel.TSO,
+                  MemoryModel.SC)
+
+
+def _snapshot(result) -> tuple:
+    """Everything `analyze_all` returns, in order, as values."""
+    env_map, verdicts, stats = result
+    return ([(n, env, str(env)) for n, env in env_map.items()], verdicts,
+            stats)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_verdicts_are_monotone_across_models_and_deterministic(family):
+    # PROVED under a model is PROVED under every stronger one, and a second
+    # run gives equal verdicts, witnesses, stats and env maps
+    text, seeds = _FAMILIES[family]
+    for seed in seeds:
+        program, _ = parse_and_lower(text(seed))
+        proved_weaker: set[int] = set()
+        for model in _WEAKEST_FIRST:
+            result = analyze_all(program, model)
+            assert _snapshot(result) == _snapshot(analyze_all(program,
+                                                              model)), \
+                (family, seed, model)
+            proved = {v.node for v in result[1] if v.status == "PROVED"}
+            assert proved_weaker <= proved, (family, seed, model)
+            proved_weaker = proved

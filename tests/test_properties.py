@@ -28,9 +28,9 @@ from relaxcheck import feasibility
 from relaxcheck.analysis import (
     DEFAULT_CAP, analyze_all, enumerate_combinations,
 )
-from relaxcheck.datalog import spec_mhb, spec_must_not_read_from
+from relaxcheck.datalog import solve
 from relaxcheck.domain import (
-    NEG_INF, POS_INF, AbstractEnv, Interval, refine, transfer,
+    _TOP, NEG_INF, POS_INF, AbstractEnv, Interval, refine, transfer,
 )
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import parse_and_lower
@@ -43,7 +43,7 @@ from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, component_loads, corpus_program,
-    dominates, facts_for, mp_text, node_pairs, not_reachable_from,
+    dominates, facts_for, mhb_rows, mp_text, node_pairs, not_reachable_from,
     oracle_behaviors, product, relation, ring_text, with_gaps,
 )
 
@@ -72,7 +72,7 @@ def intervals(draw) -> Interval:
     if lo > hi:
         lo, hi = hi, lo
     if lo == POS_INF or hi == NEG_INF:
-        return Interval.top()
+        return _TOP
     return Interval(lo, hi)
 
 
@@ -168,7 +168,7 @@ def sparse_environments(draw) -> AbstractEnv:
     as well as other intervals."""
     if draw(st.integers(0, 9)) == 0:
         return AbstractEnv.bottom()
-    values = st.one_of(st.just(Interval.top()), intervals())
+    values = st.one_of(st.just(_TOP), intervals())
     return AbstractEnv(draw(st.dictionaries(st.sampled_from(VARS), values)))
 
 
@@ -238,7 +238,8 @@ def test_transfer_sound_on_singletons(instr, x, a, b):
         if not holds:
             return  # no concrete successor: nothing to contain
     for v, c in concrete.items():
-        assert out.get(v).contains(c), (instr, v, c)
+        got = out.get(v)
+        assert not got.is_bottom and got.lo <= c <= got.hi, (instr, v, c)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def _ref_env(op, e1: AbstractEnv, e2: AbstractEnv):
     if e2.is_bottom:
         return _plain(e1)
     a, b = e1._map, e2._map
-    return {v: op(a[v], b[v]) if v in a and v in b else Interval.top()
+    return {v: op(a[v], b[v]) if v in a and v in b else _TOP
             for v in a.keys() | b.keys()}
 
 
@@ -343,7 +344,7 @@ def test_interval_operations_return_operands_equal_to_reference(pair):
         elif expected == b:
             assert r is b, (op, a, b)
     if a.widen(b).is_top() and not a.is_top() and not b.is_top():
-        assert a.widen(b) is Interval.top()
+        assert a.widen(b) is _TOP
     # the identity that lets analyze_thread widen in one pass
     assert a.widen(b) == a.widen(a.join(b))
 
@@ -492,16 +493,11 @@ def _context(name: str, model: MemoryModel) -> FeasibilityContext:
 
 def _engine_relations(ctx: FeasibilityContext, rf: frozenset):
     """(MHB, MustNotReadFrom) of the bitset engine under reads-from rf."""
-    rows = ctx.mhb_rows(rf)
+    rows = mhb_rows(ctx, rf)
     mnrf = {(l, s) for l, lv in ctx.store.load_var.items()
             for s, sv in ctx.store.store_var.items()
             if lv == sv and ctx.must_not_read_from(rows, rf, l, s)}
     return node_pairs(rows), mnrf
-
-
-def _spec_witness(mnrf, rf: frozenset):
-    """The pair check_facts must report: the first refuted fact."""
-    return next((pair for pair in sorted(rf) if pair in mnrf), None)
 
 
 @MANY
@@ -548,8 +544,8 @@ def _check_base_mhb() -> None:
         prog, store, _ = _rf_universe(name)
         for model in MODELS:
             ctx = FeasibilityContext(store, model)
-            assert relation(ctx, "MHB") == spec_mhb(ctx.relation_facts(),
-                                                    set()), (name, model)
+            assert relation(ctx, "MHB") == solve(ctx.relation_facts(),
+                                                 set())[0], (name, model)
 
 
 def _reference_enumerate_combinations(loads, ctx) -> list[dict]:
@@ -560,10 +556,10 @@ def _reference_enumerate_combinations(loads, ctx) -> list[dict]:
 
 
 def _check_analyzer_queries(monkeypatch) -> None:
-    """Every fact set analyze_all decides over corpus x models reports the
-    rules' witness: the facts of each combination of every component's
-    product, kept or refuted, and each query check_facts answers for it
-    (the single facts of loop loads)."""
+    """check_facts agrees with the rules on every fact set analyze_all
+    decides over corpus x models: the facts of each combination of every
+    component's product, kept or refuted, and each query check_facts
+    answers for it (the single facts of loop loads)."""
     queries = {}
     check_facts = FeasibilityContext.check_facts
 
@@ -585,16 +581,12 @@ def _check_analyzer_queries(monkeypatch) -> None:
                     queries[ctx, facts_for(ctx, sigma)] = None
     assert len(queries) > 1000
     for ctx, facts in queries:
-        mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts))
-        result = ctx.check_facts(facts)
-        assert result.witness == _spec_witness(mnrf, facts), facts
-        assert bool(result) == (result.witness is None)
+        assert ctx.check_facts(facts) == _spec_feasible(ctx, facts), facts
 
 
 def _spec_feasible(ctx: FeasibilityContext, facts: frozenset) -> bool:
     """Whether the rules refute none of the facts."""
-    mnrf = spec_must_not_read_from(ctx.relation_facts(), set(facts))
-    return _spec_witness(mnrf, facts) is None
+    return not facts & solve(ctx.relation_facts(), set(facts))[1]
 
 
 def _check_enumeration(cases, spec: bool = False) -> None:
@@ -654,12 +646,10 @@ def test_engine_relations_equal_spec(name, model, data):
                    if pairs else ())
     ctx = _context(name, model)
     mhb, mnrf = _engine_relations(ctx, rf)
-    assert mhb == spec_mhb(ctx.relation_facts(), set(rf))
-    want_mnrf = spec_must_not_read_from(ctx.relation_facts(), set(rf))
+    want_mhb, want_mnrf = solve(ctx.relation_facts(), set(rf))
+    assert mhb == want_mhb
     assert mnrf == want_mnrf
-    result = ctx.check_facts(rf)
-    assert result.witness == _spec_witness(want_mnrf, rf)
-    assert bool(result) == (result.witness is None)
+    assert ctx.check_facts(rf) == (not rf & want_mnrf)
 
 
 @MANY
@@ -671,8 +661,8 @@ def test_spec_fact_monotonicity(name, model, data):
                    if pairs else ())
     more = rf | frozenset(data.draw(st.sets(st.sampled_from(pairs),
                                             max_size=2)) if pairs else ())
-    small = spec_must_not_read_from(ctx.relation_facts(), set(rf))
-    big = spec_must_not_read_from(ctx.relation_facts(), set(more))
+    small = solve(ctx.relation_facts(), set(rf))[1]
+    big = solve(ctx.relation_facts(), set(more))[1]
     assert small <= big
 
 
