@@ -11,12 +11,14 @@ across the models and the same on a second run, as `test_properties`
 checks on the corpus."""
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Callable, Iterator
 
 import pytest
 
 from relaxcheck import MemoryModel, analysis, analyze_all, parse_and_lower
+from relaxcheck.ir import Program
 from relaxcheck.oracle import OracleLimitError, violates
 
 from conftest import MODELS
@@ -70,19 +72,38 @@ def gate_text(seed: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def unsound_cells(skipped: list, text: Callable[[int], str] = gate_text,
-                  seeds: range = GATE_SEEDS) -> Iterator[tuple[int, str]]:
+_FAMILIES = {"gate": (gate_text, GATE_SEEDS),
+             "creates-joins": (generated_text, GENERATED_SEEDS)}
+
+
+@functools.lru_cache(maxsize=None)
+def _program(family: str, seed: int) -> Program:
+    program, _ = parse_and_lower(_FAMILIES[family][0](seed))
+    return program
+
+
+@functools.lru_cache(maxsize=None)
+def _analysis(family: str, seed: int, model: MemoryModel) -> tuple:
+    """`analyze_all` of one generated program, shared like `_program` by
+    the soundness gates and the monotone test, which adds only the
+    determinism rerun."""
+    return analyze_all(_program(family, seed), model)
+
+
+def unsound_cells(skipped: list, family: str = "gate",
+                  analyze: Callable[[str, int, MemoryModel], tuple]
+                  = _analysis) -> Iterator[tuple[int, str]]:
     """Every (seed, model) whose analysis proves an assert that the oracle
     finds violated; a cell past the oracle's budget goes to `skipped`."""
-    for seed in seeds:
-        program, _ = parse_and_lower(text(seed))
+    for seed in _FAMILIES[family][1]:
+        program = _program(family, seed)
         for model in MODELS:
             try:
                 flags = violates(program, model)
             except OracleLimitError:
                 skipped.append((seed, model))
                 continue
-            _, verdicts, _ = analyze_all(program, model)
+            _, verdicts, _ = analyze(family, seed, model)
             if any(v.status == "PROVED" and flags[v.node] for v in verdicts):
                 yield seed, str(model)
 
@@ -107,18 +128,17 @@ def test_gate_catches_loop_loads_that_ignore_remote_stores(monkeypatch):
         return original(graphs, relstore, sigma, store_envs, {}, runs)
 
     monkeypatch.setattr(analysis, "_run_combination", ignore_remote)
-    assert next(unsound_cells([]), None) is not None
+    # past the memo, which holds the unmutated analyses
+    assert next(unsound_cells([], analyze=lambda family, seed, model:
+                              analyze_all(_program(family, seed), model)),
+                None) is not None
 
 
 def test_proved_implies_no_oracle_violation_on_creates_and_joins():
     skipped: list = []
-    assert list(unsound_cells(skipped, generated_text, GENERATED_SEEDS)) \
-        == []
+    assert list(unsound_cells(skipped, "creates-joins")) == []
     assert len(skipped) < len(GENERATED_SEEDS) * len(MODELS) // 2
 
-
-_FAMILIES = {"gate": (gate_text, GATE_SEEDS),
-             "creates-joins": (generated_text, GENERATED_SEEDS)}
 
 # weakest first: each model allows every behaviour of the next
 _WEAKEST_FIRST = (MemoryModel.RMO, MemoryModel.PSO, MemoryModel.TSO,
@@ -136,12 +156,11 @@ def _snapshot(result) -> tuple:
 def test_verdicts_are_monotone_across_models_and_deterministic(family):
     # PROVED under a model is PROVED under every stronger one, and a second
     # run gives equal verdicts, witnesses, stats and env maps
-    text, seeds = _FAMILIES[family]
-    for seed in seeds:
-        program, _ = parse_and_lower(text(seed))
+    for seed in _FAMILIES[family][1]:
+        program = _program(family, seed)
         proved_weaker: set[int] = set()
         for model in _WEAKEST_FIRST:
-            result = analyze_all(program, model)
+            result = _analysis(family, seed, model)
             assert _snapshot(result) == _snapshot(analyze_all(program,
                                                               model)), \
                 (family, seed, model)

@@ -54,27 +54,40 @@ UNREACHED = {
 }
 
 
-def _defined() -> set[tuple[str, str]]:
-    """(module, qualified name) of every `def` and `lambda` in the
-    package."""
-    found = set()
+def _defined() -> dict[tuple[str, int, str], str]:
+    """The qualified name of every `def` and `lambda` in the package,
+    keyed by its code's module, first line and name.  The walk builds
+    each qualified name from the enclosing ones, as Python does, since
+    code objects carry theirs only from Python 3.11."""
+    found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        stack = [compile(path.read_text(encoding="utf-8"), str(path),
-                         "exec")]
+        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        stack = [(module, "")]
         while stack:
-            for const in stack.pop().co_consts:
-                if isinstance(const, types.CodeType):
-                    stack.append(const)
-                    # a function, not a class body or a comprehension
-                    if (const.co_flags & inspect.CO_OPTIMIZED
-                            and (not const.co_name.startswith("<")
-                                 or const.co_name == "<lambda>")):
-                        found.add((path.stem, const.co_qualname))
+            code, prefix = stack.pop()
+            for const in code.co_consts:
+                if not isinstance(const, types.CodeType):
+                    continue
+                qualname = f"{prefix}.{const.co_name}" if prefix \
+                    else const.co_name
+                function = bool(const.co_flags & inspect.CO_OPTIMIZED)
+                # names nested in a function sit under its `<locals>`
+                stack.append((const, f"{qualname}.<locals>" if function
+                              else qualname))
+                # a function, not a class body or a comprehension
+                if function and (not const.co_name.startswith("<")
+                                 or const.co_name == "<lambda>"):
+                    found[_key(const)] = qualname
     return found
 
 
-def _reached() -> set[tuple[str, str]]:
-    """(module, qualified name) of every function of the package that
+def _key(code: types.CodeType) -> tuple[str, int, str]:
+    return (pathlib.Path(code.co_filename).resolve().stem,
+            code.co_firstlineno, code.co_name)
+
+
+def _reached() -> set[tuple[str, int, str]]:
+    """The keys, as `_defined` keys them, of the package's functions that
     `cli.run` calls over the corpus, every model and every flag set."""
     seen: set[types.CodeType] = set()
 
@@ -94,13 +107,13 @@ def _reached() -> set[tuple[str, str]]:
     finally:
         sys.setprofile(None)
     assert set(codes) == {0, 1}  # verdicts and dumps, no error
-    reached = set()
-    for code in seen:
-        path = pathlib.Path(code.co_filename).resolve()
-        if path.parent == PACKAGE:
-            reached.add((path.stem, code.co_qualname))
-    return reached
+    return {_key(code) for code in seen
+            if pathlib.Path(code.co_filename).resolve().parent == PACKAGE}
 
 
 def test_every_function_is_reached_or_listed():
-    assert _defined() - _reached() == UNREACHED.keys()
+    defined = _defined()
+    reached = _reached()
+    unreached = {(key[0], qualname) for key, qualname in defined.items()
+                 if key not in reached}
+    assert unreached == UNREACHED.keys()
