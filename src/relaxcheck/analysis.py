@@ -57,7 +57,6 @@ whose inputs did not change is not analyzed again.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .domain import AbstractEnv, Interval, may_be_false, transfer
@@ -120,14 +119,19 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     hold loads only, and may hold loads of other threads (node ids are
     unique across graphs).  Widening at cycle nodes after 2 visits.
 
-    A visit must keep three things, which the tests and the benchmark's
-    counters rely on: the FIFO worklist from the entry (a node is queued at
-    most once at a time), `transfer` called through the module global, and
-    `old.join(out)` (or, at a cycle node past 2 visits, `old.widen(out)`)
-    called as methods.  The widening equals `old.widen(old.join(out))`
-    pointwise (bottom and one-sided variables included), so a visit makes
-    one pointwise pass.  A visit reads its node's entry of `graph.plan`,
-    and only a load looks into `pinned` and `joined`.
+    The worklist is one int, `pending`, over the ranks of `graph.plan`
+    (reverse postorder from the entry): it starts with the entry, each
+    visit takes the pending node of lowest rank, and a visit that changes
+    its node's env adds its successors' ranks.  So a node is pending at
+    most once at a time, a loop body runs after the nodes before the loop
+    have settled, and a loop-free graph visits each node once.  A visit
+    calls `transfer` through the module global, and `old.join(out)` (or,
+    at a cycle node past 2 visits, `old.widen(out)`) as methods, which the
+    tests and the benchmark's counters rely on.  The widening equals
+    `old.widen(old.join(out))` pointwise (bottom and one-sided variables
+    included), so a visit makes one pointwise pass.  A visit reads its
+    node's entry of the plan, and only a load looks into `pinned` and
+    `joined`.  A node the entry does not reach keeps bottom.
 
     A visit ends unchanged when `new is old`, and changes `post` without a
     `leq` when `new` has as many keys as `old`: a node's input only grows
@@ -138,18 +142,16 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
     some interval strictly above `old`'s.  A `new` with more keys may
     only add Top entries, and `leq` decides."""
     joined = joined or {}
-    entry, plan = graph.entry, graph.plan
-    post = dict.fromkeys(plan, AbstractEnv.bottom())
-    visits = dict.fromkeys(plan, 0)
-    worklist = deque([entry])
-    in_list = {entry}
-    pop, push = worklist.popleft, worklist.append
-    enter, leave = in_list.add, in_list.discard
-    while worklist:
-        n = pop()
-        leave(n)
-        instr, preds, succs, widens, src = plan[n]
-        if n == entry:
+    plan = graph.plan
+    post = dict.fromkeys(graph.nodes, AbstractEnv.bottom())
+    visits = [0] * len(plan)
+    pending = 1  # the entry's rank
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        k = low.bit_length() - 1
+        n, instr, preds, succs, widens, src = plan[k]
+        if k == 0:
             inp = init_env
         else:
             inp = post[preds[0]]
@@ -161,7 +163,7 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
             if n in joined:
                 inp = inp.set(src, inp.get(src).join(joined[n]))
         out = transfer(instr, inp)
-        visits[n] = count = visits[n] + 1
+        visits[k] = count = visits[k] + 1
         old = post[n]
         if widens and count > 2:
             new = old.widen(out)
@@ -171,10 +173,7 @@ def analyze_thread(graph: FlowGraph, init_env: AbstractEnv,
         if new is not old and (len(new._map) == len(old._map)
                                or not new.leq(old)):
             post[n] = new
-            for s in succs:
-                if s not in in_list:
-                    enter(s)
-                    push(s)
+            pending |= succs
     return post
 
 

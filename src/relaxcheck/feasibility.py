@@ -122,14 +122,47 @@ def deduce_mhb(store: RelationStore,
                no_reorder: Sequence[int]) -> tuple[int, ...]:
     """MHB rows under no reads-from facts, one per node id up to the
     largest: the closure of the edges of rules (1) and (2).  Dominance
-    implies program order, so rule (2) reads NoReorder's masks directly."""
+    implies program order, so rule (2) reads NoReorder's masks directly.
+
+    Rule (2) orders before b every kept dominator a of b that b does not
+    reach.  Only some of those edges are added, and the closure is the
+    same.  The nodes go by dominator depth, so the `before` mask of each
+    strict dominator (the nodes that its added rule-(2) edges put before
+    it) is known first.  b's kept dominators are taken deepest first, and
+    one in the `before` mask of a taken one is skipped: it precedes b
+    already, through the taken one.  In a long straight-line thread the
+    nearest kept dominator then covers all the others."""
     targets: dict[int, int] = {}
     joins = [(x, j) for j, x in store.thread_joins.items()]
     for a, b in [*store.thread_creates.items(), *joins]:
         targets[a] = targets.get(a, 0) | 1 << b
-    for b, doms in store.dominators.items():
-        for a in bits(doms & ~store.reach[b] & no_reorder[b]):
+    doms = store.dominators
+    depth = {n: d.bit_count() for n, d in doms.items()}
+    # upto[k]: the nodes of dominator depth at most k
+    upto = [0] * (max(depth.values(), default=0) + 1)
+    for n, k in depth.items():
+        upto[k] |= 1 << n
+    for k in range(1, len(upto)):
+        upto[k] |= upto[k - 1]
+    before: dict[int, int] = {}
+    for b in sorted(doms, key=depth.__getitem__):
+        rest = doms[b] & ~store.reach[b] & no_reorder[b]
+        covered = 0
+        while rest:
+            # the least k with rest inside upto[k]: rest's deepest nodes
+            lo, hi = 0, depth[b]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if rest & ~upto[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            deepest = rest & ~upto[lo - 1] if lo else rest
+            a = (deepest & -deepest).bit_length() - 1
             targets[a] = targets.get(a, 0) | 1 << b
+            covered |= 1 << a | before.get(a, 0)
+            rest &= ~covered
+        before[b] = covered
     return tuple(closure(targets, max(store.thread_of) + 1))
 
 

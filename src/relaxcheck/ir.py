@@ -5,12 +5,13 @@ thread that stores the initial value of every global, creates all
 top-level threads, and joins them at the end.  Every node carries exactly
 one atomic instruction that touches at most one global variable.
 A flow graph builds its adjacency lists, reachability closure, strict
-dominators, loop nodes and the interval fixpoint's per-node visit plan
-once.  Every per-node node set of the package, and every node set of the
-static relations (`relations.py`), is an int mask indexed by node id: bit
-n stands for node n, `bits` lists the nodes of a mask, and `closure` is
-the package's one transitive closure over such masks, for reachability
-and MHB alike.  `MemoryModel` names the memory models for the front end,
+dominators, loop nodes and the interval fixpoint's visit plan once; the
+plan lists the nodes in reverse postorder, so the fixpoint's worklist is
+one mask over their ranks.  Every per-node node set of the package, and
+every node set of the static relations (`relations.py`), is an int mask
+indexed by node id: bit n stands for node n, `bits` lists the nodes of a
+mask, and `closure` is the package's one transitive closure over such
+masks, for reachability and MHB alike.  `MemoryModel` names the memory models for the front end,
 the analyzer and the oracle.
 """
 from __future__ import annotations
@@ -272,15 +273,34 @@ class FlowGraph:
         return frozenset(n for n, r in self.reachable.items() if r >> n & 1)
 
     @cached_property
-    def plan(self) -> dict[int, tuple]:
-        """What a fixpoint visit reads of each node: its instruction, its
-        predecessors and successors (the `adjacency` tuples), whether it
-        widens (it is a loop node), and a load's source variable (None for
-        any other instruction)."""
+    def plan(self) -> list[tuple]:
+        """The interval fixpoint's visit plan: the nodes the entry reaches,
+        in reverse postorder of a depth-first search from the entry that
+        takes successors in ascending order, so a node's rank is its index
+        and the entry has rank 0.  Entry k is (node, its instruction, its
+        predecessors (the `adjacency` tuple), the mask of its successors'
+        ranks, whether it widens (it is a loop node), a load's source
+        variable (None for any other instruction)).  Every edge to a lower
+        or equal rank closes a cycle."""
         succ, pred = self.adjacency
-        return {n: (i, pred.get(n, ()), succ.get(n, ()), n in self.loop_nodes,
-                    i.src if isinstance(i, Load) else None)
-                for n, i in self.nodes.items()}
+        order, seen = [], {self.entry}
+        stack = [(self.entry, iter(succ.get(self.entry, ())))]
+        while stack:
+            n, rest = stack[-1]
+            for s in rest:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append((s, iter(succ.get(s, ()))))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        order.reverse()
+        rank = {n: k for k, n in enumerate(order)}
+        instrs = [self.nodes[n] for n in order]
+        return [(n, i, pred.get(n, ()),
+                 sum(1 << rank[s] for s in succ.get(n, ())),
+                 n in self.loop_nodes, i.src if isinstance(i, Load) else None)
+                for n, i in zip(order, instrs)]
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -4,6 +4,7 @@ against the reference loop."""
 from __future__ import annotations
 
 import copy
+import heapq
 from collections import Counter, deque
 
 import pytest
@@ -17,13 +18,13 @@ from relaxcheck.analysis import (
 from relaxcheck.domain import POS_INF, AbstractEnv, Interval
 from relaxcheck.feasibility import FeasibilityContext, MemoryModel
 from relaxcheck.frontend import lower, parse, parse_and_lower
-from relaxcheck.ir import Assert, Load, Store, VarId
+from relaxcheck.ir import Assert, Load, Store, VarId, bits
 from relaxcheck.oracle import violates
 from relaxcheck.relations import extract_all
 
 from conftest import (
     CORPUS_FILES, MODELS, analyzer_result, corpus_program, corpus_text,
-    ring_text,
+    mp_text, ring_text,
 )
 
 SC, TSO = MemoryModel.SC, MemoryModel.TSO
@@ -399,20 +400,23 @@ def test_each_distinct_thread_result_is_judged_once(monkeypatch):
 # Fixpoint exactness: analyze_thread against the reference loop
 # ---------------------------------------------------------------------------
 
-def _reference_analyze_thread(graph, init_env, pinned, joined=None):
+def _reference_analyze_thread(graph, init_env, pinned, joined=None,
+                              rank=None):
     """The fixpoint loop before its visits were made cheap: the input is a
     fresh bottom joined with every predecessor's post, a widening node past
     2 visits widens the join of its old env and the transfer's output, and
-    every visit ends with a full `leq`.  Same FIFO order, same widening
+    every visit ends with a full `leq`.  The worklist is FIFO from the
+    entry, or with `rank` (node -> int) a heap that pops the queued node of
+    lowest rank; a node is queued at most once at a time.  Same widening
     nodes, same module-global `transfer`."""
     joined = joined or {}
     cycles = graph.loop_nodes
     post = {n: AbstractEnv(is_bottom=True) for n in graph.nodes}
     visits = {n: 0 for n in graph.nodes}
-    worklist = deque([graph.entry])
+    queue = deque([graph.entry]) if rank is None else [(0, graph.entry)]
     in_list = {graph.entry}
-    while worklist:
-        n = worklist.popleft()
+    while in_list:
+        n = queue.popleft() if rank is None else heapq.heappop(queue)[1]
         in_list.discard(n)
         instr = graph.nodes[n]
         if n == graph.entry:
@@ -436,8 +440,27 @@ def _reference_analyze_thread(graph, init_env, pinned, joined=None):
             for s in graph.successors(n):
                 if s not in in_list:
                     in_list.add(s)
-                    worklist.append(s)
+                    if rank is None:
+                        queue.append(s)
+                    else:
+                        heapq.heappush(queue, (rank[s], s))
     return post
+
+
+def _rpo_rank(graph):
+    """Each node's rank in the reverse postorder of a recursive depth-first
+    search from the entry that takes successors in ascending order."""
+    postorder, seen = [], {graph.entry}
+
+    def visit(n):
+        for s in graph.successors(n):
+            if s not in seen:
+                seen.add(s)
+                visit(s)
+        postorder.append(n)
+
+    visit(graph.entry)
+    return {n: k for k, n in enumerate(reversed(postorder))}
 
 
 def _exact(post):
@@ -474,25 +497,35 @@ def _plan_texts():
 
 
 def test_visit_plan_matches_the_graph():
-    """Each plan entry is the node's instruction, its predecessors and
-    successors in `adjacency` order, whether it is a loop node and a load's
-    source; the plan is built once, and the graphs still compare (and
-    deep-copy) by their fields alone."""
+    """The plan lists the nodes the entry reaches, each once, the entry
+    first, in `_rpo_rank`'s order; each entry is the node's instruction, its predecessors in
+    `adjacency` order, the ranks of its successors, whether it is a loop
+    node and a load's source.  Every edge goes up in rank unless its target
+    dominates its source (a back edge).  The plan is built once, and the
+    graphs still compare (and deep-copy) by their fields alone."""
     for text in _plan_texts():
         ast = parse(text)
         program = lower(ast)
         for graph in program.threads.values():
             plan = graph.plan
-            assert list(plan) == list(graph.nodes)
-            for n, (instr, preds, succs, widens, src) in plan.items():
+            order = [entry[0] for entry in plan]
+            rank = {n: k for k, n in enumerate(order)}
+            assert rank == _rpo_rank(graph)
+            assert order[0] == graph.entry
+            assert sorted(order) == sorted(
+                {graph.entry, *bits(graph.reachable[graph.entry])})
+            for n, instr, preds, succs, widens, src in plan:
                 assert instr is graph.nodes[n]
                 assert preds == graph.predecessors(n) == tuple(
                     sorted(a for a, b in graph.edges if b == n))
-                assert succs == graph.successors(n) == tuple(
-                    sorted(b for a, b in graph.edges if a == n))
+                assert succs == sum(1 << rank[s]
+                                    for s in graph.successors(n))
                 assert widens == (n in graph.loop_nodes)
                 assert src == (instr.src if isinstance(instr, Load)
                                else None)
+            for a, b in graph.edges:
+                assert (rank[a] < rank[b]
+                        or graph.dominators[a] >> b & 1), (a, b)
             assert graph.plan is plan
         assert program == lower(ast)
         assert copy.deepcopy(program) == program
@@ -500,8 +533,11 @@ def test_visit_plan_matches_the_graph():
 
 def _assert_fixpoints_exact(prog, model, monkeypatch, label):
     """Every thread of `prog`, run alone and with the bootstrap's joined
-    values, gives node-for-node the reference's env maps with as many
-    `transfer` and `AbstractEnv.widen` calls."""
+    values, gives node-for-node the env maps of the FIFO reference, with at
+    most as many `transfer` and `AbstractEnv.widen` calls, and the env maps
+    and call counts of the reference that visits in reverse postorder.
+    Returns the call counts of `analyze_thread` and of the FIFO reference,
+    summed over the runs."""
     relstore = extract_all(prog)
     ctx = FeasibilityContext(relstore, model)
     candidates = collect_candidates(relstore)
@@ -510,6 +546,7 @@ def _assert_fixpoints_exact(prog, model, monkeypatch, label):
         prog, relstore, ctx, candidates, ThreadRuns(prog, init))
     calls: Counter = Counter()
     total: Counter = Counter()
+    fifo_total: Counter = Counter()
     transfer, widen = analysis.transfer, AbstractEnv.widen
 
     def counting_transfer(instr, env):
@@ -520,21 +557,30 @@ def _assert_fixpoints_exact(prog, model, monkeypatch, label):
         calls["widen"] += 1
         return widen(self, other)
 
+    def counted(run, *args):
+        calls.clear()
+        post = run(*args)
+        return _exact(post), Counter(calls)
+
     with monkeypatch.context() as m:
         m.setattr(analysis, "transfer", counting_transfer)
         m.setattr(AbstractEnv, "widen", counting_widen)
         for graph in prog.threads.values():
+            rank = _rpo_rank(graph)
             for loads in ({}, joined):
                 where = (label, model, graph.thread, bool(loads))
-                calls.clear()
-                expected = _reference_analyze_thread(graph, init, {}, loads)
-                expected_calls = dict(calls)
-                calls.clear()
-                got = analyze_thread(graph, init, {}, loads)
-                assert dict(calls) == expected_calls, where
-                assert _exact(got) == _exact(expected), where
-                total.update(calls)
-    return total
+                args = (graph, init, {}, loads)
+                got, got_calls = counted(analyze_thread, *args)
+                fifo, fifo_calls = counted(_reference_analyze_thread, *args)
+                rpo, rpo_calls = counted(_reference_analyze_thread, *args,
+                                         rank)
+                assert got == fifo == rpo, where
+                assert got_calls == rpo_calls, where
+                assert got_calls["transfer"] <= fifo_calls["transfer"], where
+                assert got_calls["widen"] <= fifo_calls["widen"], where
+                total.update(got_calls)
+                fifo_total.update(fifo_calls)
+    return total, fifo_total
 
 
 def test_fixpoint_equals_reference_on_corpus(monkeypatch):
@@ -545,12 +591,15 @@ def test_fixpoint_equals_reference_on_corpus(monkeypatch):
 
 
 def test_fixpoint_equals_reference_on_nests(monkeypatch):
+    """On every nest the rank order makes strictly fewer `transfer` and
+    widen calls than FIFO, and it widens, so the widening counts are not
+    vacuous."""
     for depth in range(2, 15):
         prog, _ = parse_and_lower(_nest_text(depth))
-        calls = _assert_fixpoints_exact(prog, TSO, monkeypatch,
-                                        f"nest-{depth}")
-        # every nest widens, so the widening counts are not vacuous
-        assert calls["widen"] > 0, depth
+        calls, fifo_calls = _assert_fixpoints_exact(prog, TSO, monkeypatch,
+                                                    f"nest-{depth}")
+        assert 0 < calls["widen"] < fifo_calls["widen"], depth
+        assert calls["transfer"] < fifo_calls["transfer"], depth
 
 
 # A local first assigned inside a loop reaches the loop head with nothing
@@ -574,3 +623,53 @@ def test_fixpoint_equals_reference_when_only_a_key_is_added(monkeypatch):
     prog, _ = parse_and_lower(_LOOP_LOCAL_ONLY)
     for model in MODELS:
         _assert_fixpoints_exact(prog, model, monkeypatch, "loop-local-only")
+
+
+def _loop_free_revisits(run, monkeypatch):
+    """Every `analyze_all` run of a loop-free thread of the corpus and of
+    `mp_text(4)`, under every model, with `analyze_thread` replaced by
+    `run`: (label, thread, the nodes passed to `transfer` more than once),
+    one per run."""
+    texts = [(name, corpus_text(name)) for name in CORPUS_FILES]
+    texts.append(("mp-4", mp_text(4)))
+    seen: Counter = Counter()
+    runs = []
+    transfer = analysis.transfer
+
+    def counting_transfer(instr, env):
+        seen[id(instr)] += 1
+        return transfer(instr, env)
+
+    def checked_run(graph, *args):
+        seen.clear()
+        post = run(graph, *args)
+        if not graph.loop_nodes:
+            runs.append((label, graph.thread,
+                         [n for n, instr in graph.nodes.items()
+                          if seen[id(instr)] > 1]))
+        return post
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "transfer", counting_transfer)
+        m.setattr(analysis, "analyze_thread", checked_run)
+        for label, text in texts:
+            prog, _ = parse_and_lower(text)
+            # the count is by instruction object, one per node
+            for graph in prog.threads.values():
+                assert len({id(i) for i in graph.nodes.values()}) == len(
+                    graph.nodes)
+            for model in MODELS:
+                analyze_all(prog, model)
+    return runs
+
+
+def test_loop_free_threads_visit_each_node_once(monkeypatch):
+    """On a graph without loops the rank order visits each node once: all
+    predecessors of a node have settled when it runs.  FIFO does not: it
+    reaches `fig2_fence.lit`'s t2 join before one of its branches."""
+    runs = _loop_free_revisits(analyze_thread, monkeypatch)
+    assert len(runs) > 100
+    assert [run for run in runs if run[2]] == []
+    fifo = _loop_free_revisits(_reference_analyze_thread, monkeypatch)
+    assert any(label == "fig2_fence.lit" and thread == "t2" and revisits
+               for label, thread, revisits in fifo)

@@ -18,10 +18,11 @@ from collections.abc import Callable, Iterator
 import pytest
 
 from relaxcheck import MemoryModel, analysis, analyze_all, parse_and_lower
-from relaxcheck.ir import Program
+from relaxcheck.ir import Program, VarId
 from relaxcheck.oracle import OracleLimitError, violates
 
 from conftest import MODELS
+from test_analysis import _reference_analyze_thread
 from test_oracle_differential import GENERATED_SEEDS, generated_text
 
 GATE_SEEDS = range(200)
@@ -167,3 +168,34 @@ def test_verdicts_are_monotone_across_models_and_deterministic(family):
             proved = {v.node for v in result[1] if v.status == "PROVED"}
             assert proved_weaker <= proved, (family, seed, model)
             proved_weaker = proved
+
+
+def test_rank_order_is_no_less_precise_than_fifo(monkeypatch):
+    """`analyze_all` against itself with the FIFO `analyze_thread` of
+    `test_analysis`: equal verdicts and witnesses, and every env-map entry
+    below or equal to FIFO's.  Visiting loop heads after what precedes
+    them widens less, so somewhere the order must be strictly tighter: in
+    `generated_text(100)`, t0's loop counter i2 is [0, 1], not [0, +inf]."""
+    tighter = set()
+    for family, (_, seeds) in sorted(_FAMILIES.items()):
+        for seed in seeds:
+            for model in MODELS:
+                env_map, verdicts, _ = _analysis(family, seed, model)
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "analyze_thread",
+                              _reference_analyze_thread)
+                    fifo_map, fifo_verdicts, _ = analyze_all(
+                        _program(family, seed), model)
+                cell = (family, seed, model)
+                assert verdicts == fifo_verdicts, cell
+                assert env_map.keys() == fifo_map.keys(), cell
+                assert all(env.leq(fifo_map[n])
+                           for n, env in env_map.items()), cell
+                if any(not fifo_map[n].leq(env)
+                       for n, env in env_map.items()):
+                    tighter.add((family, seed))
+    assert ("creates-joins", 100) in tighter
+    counter = VarId("i2", "t0")
+    env_map, _, _ = _analysis("creates-joins", 100, MemoryModel.SC)
+    assert max(env.get(counter).hi for env in env_map.values()
+               if counter in env._map) == 1
